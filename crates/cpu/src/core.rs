@@ -99,6 +99,35 @@ impl Snapshot for Occupancy {
     }
 }
 
+/// Where [`Cpu::run_until`] stops: the first of an instruction count and a
+/// cycle horizon. The core's own budget (see [`Cpu::new`]) always applies
+/// on top.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stop {
+    /// Stop once this many instructions have retired in total.
+    pub instructions: u64,
+    /// Stop once the core's clock (its latest retire cycle) reaches this.
+    pub cycles: Cycle,
+}
+
+impl Stop {
+    /// Stop at an instruction count only.
+    pub const fn at_instructions(instructions: u64) -> Stop {
+        Stop {
+            instructions,
+            cycles: Cycle::MAX,
+        }
+    }
+
+    /// Stop at a cycle horizon only.
+    pub const fn at_cycle(cycles: Cycle) -> Stop {
+        Stop {
+            instructions: u64::MAX,
+            cycles,
+        }
+    }
+}
+
 /// The simulated out-of-order core, owning the memory hierarchy.
 pub struct Cpu<P: Prefetcher> {
     // semloc-lint: allow(snapshot-field-coverage): construction-time config; behavior parameters, not run state
@@ -252,6 +281,38 @@ impl<P: Prefetcher> Cpu<P> {
         let mut stats = std::mem::take(&mut self.stats);
         for i in 0..block.len() {
             self.step_with(block.instr(i), &mut stats);
+        }
+        self.stats = stats;
+    }
+
+    /// Stream instructions from `buf` through the core, starting at
+    /// `cursor` and leaving it after the last one stepped, until `stop` or
+    /// the core's own budget is reached or the buffer ends.
+    ///
+    /// Both stop conditions are checked *before* the next instruction is
+    /// decoded, so the cursor never runs ahead of the core: a caller that
+    /// keeps the cursor resumes exactly where the previous call stopped,
+    /// with no re-seek and no decode thrown away. Statistics are moved out
+    /// once per call, as [`Cpu::step_block`] does per block, and the result
+    /// is bit-identical to feeding the same instructions through
+    /// [`TraceSink::instr`] one at a time.
+    pub fn run_until(
+        &mut self,
+        buf: &semloc_trace::TraceBuffer,
+        cursor: &mut semloc_trace::TraceCursor,
+        stop: Stop,
+    ) {
+        let limit = if self.budget == 0 {
+            stop.instructions
+        } else {
+            stop.instructions.min(self.budget)
+        };
+        let mut stats = std::mem::take(&mut self.stats);
+        while stats.instructions < limit && stats.cycles < stop.cycles {
+            let Some(instr) = cursor.next(buf) else {
+                break;
+            };
+            self.step_with(instr, &mut stats);
         }
         self.stats = stats;
     }
@@ -752,6 +813,50 @@ mod tests {
         single.save(&mut w1);
         let mut w2 = SnapWriter::new();
         blocked.save(&mut w2);
+        assert_eq!(w1.into_bytes(), w2.into_bytes());
+    }
+
+    #[test]
+    fn run_until_matches_single_stepping_and_stops_before_decoding() {
+        use semloc_trace::{TraceBuffer, BLOCK_LEN};
+        let n = 3 * BLOCK_LEN as u64 + 41;
+        let mut buf = TraceBuffer::new();
+        for i in 0..n {
+            buf.push(&mixed_instr(i));
+        }
+        let mut single = Cpu::new(
+            CpuConfig::default(),
+            Hierarchy::new(MemConfig::default(), NoPrefetch),
+            n - 7,
+        );
+        for i in buf.iter() {
+            single.instr(i);
+        }
+
+        // Resume one kept cursor across cycle-horizon and instruction
+        // stops; the core's own budget (n - 7) ends the run.
+        let mut resumed = Cpu::new(
+            CpuConfig::default(),
+            Hierarchy::new(MemConfig::default(), NoPrefetch),
+            n - 7,
+        );
+        let mut cursor = buf.cursor_at(0);
+        let mut horizon = 0;
+        while cursor.position() < buf.len() && !resumed.done() {
+            horizon += 500;
+            resumed.run_until(&buf, &mut cursor, Stop::at_cycle(horizon));
+            assert!(resumed.stats().cycles >= horizon || resumed.done());
+            assert_eq!(cursor.position() as u64, resumed.stats().instructions);
+            let next = resumed.stats().instructions + 100;
+            resumed.run_until(&buf, &mut cursor, Stop::at_instructions(next));
+            assert_eq!(cursor.position() as u64, resumed.stats().instructions);
+        }
+        assert_eq!(resumed.stats().instructions, n - 7);
+
+        let mut w1 = SnapWriter::new();
+        single.save(&mut w1);
+        let mut w2 = SnapWriter::new();
+        resumed.save(&mut w2);
         assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 

@@ -29,7 +29,7 @@ pub mod stats;
 
 pub use bpred::Gshare;
 pub use config::CpuConfig;
-pub use core::Cpu;
+pub use core::{Cpu, Stop};
 pub use stats::CpuStats;
 
 pub use semloc_trace::TraceSink;

@@ -1,5 +1,7 @@
 //! Top-level simulation configuration (Table 2).
 
+use std::str::FromStr;
+
 use semloc_cpu::CpuConfig;
 use semloc_mem::MemConfig;
 
@@ -18,12 +20,45 @@ pub struct SimConfig {
     pub instr_budget: u64,
 }
 
+/// The instruction budget when `SEMLOC_BUDGET` is unset.
+const DEFAULT_BUDGET: u64 = 400_000;
+
+/// Read the positive-integer knob `name` through `lookup` (the process
+/// environment, or a table in tests): `None` when unset or empty. Any
+/// other value must parse as a positive `T`, or the error names the
+/// variable and the rejected value, so a typo such as
+/// `SEMLOC_BUDGET=40k` fails loudly instead of running a default.
+pub(crate) fn knob<T: FromStr + PartialOrd + Default>(
+    name: &str,
+    lookup: &impl Fn(&str) -> Option<String>,
+) -> Result<Option<T>, String> {
+    match lookup(name) {
+        None => Ok(None),
+        Some(v) if v.is_empty() => Ok(None),
+        Some(v) => match v.parse::<T>() {
+            Ok(n) if n > T::default() => Ok(Some(n)),
+            _ => Err(format!("{name}={v:?}: expected a positive integer")),
+        },
+    }
+}
+
+/// The instruction budget `SEMLOC_BUDGET` selects through `lookup`.
+fn budget_from(lookup: &impl Fn(&str) -> Option<String>) -> Result<u64, String> {
+    Ok(knob("SEMLOC_BUDGET", lookup)?.unwrap_or(DEFAULT_BUDGET))
+}
+
 impl Default for SimConfig {
+    /// Table 2 with the budget from `SEMLOC_BUDGET` (default 400 000).
+    ///
+    /// # Panics
+    ///
+    /// When `SEMLOC_BUDGET` is set, non-empty and not a positive integer;
+    /// the message names the variable and its value.
     fn default() -> Self {
-        let instr_budget = std::env::var("SEMLOC_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(400_000);
+        let instr_budget = match budget_from(&|name| std::env::var(name).ok()) {
+            Ok(b) => b,
+            Err(e) => panic!("{e}"),
+        };
         SimConfig {
             cpu: CpuConfig::default(),
             mem: MemConfig::default(),
@@ -91,6 +126,21 @@ mod tests {
         assert!(t.contains("64kB Data, 8 ways, 2 cycles"));
         assert!(t.contains("2MB, 16 ways, 20 cycles"));
         assert!(t.contains("300 cycles"));
+    }
+
+    #[test]
+    fn budget_knob_rejects_malformed_values_by_name() {
+        let budget = |value: &'static str| budget_from(&move |_| Some(value.to_string()));
+        assert_eq!(budget_from(&|_| None), Ok(DEFAULT_BUDGET));
+        assert_eq!(budget(""), Ok(DEFAULT_BUDGET));
+        assert_eq!(budget("40000"), Ok(40_000));
+        for bad in ["40k", "0", "-5", " 40000", "4e5"] {
+            let err = budget(bad).expect_err(bad);
+            assert!(
+                err.contains("SEMLOC_BUDGET") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

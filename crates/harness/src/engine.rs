@@ -28,9 +28,9 @@
 
 use std::io;
 
-use semloc_cpu::Cpu;
+use semloc_cpu::{Cpu, Stop};
 use semloc_mem::{Hierarchy, Prefetcher};
-use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot, TraceSink};
+use semloc_trace::{snap_err, SnapReader, SnapWriter, Snapshot};
 use semloc_workloads::{Kernel, ReplayKernel};
 
 use crate::config::SimConfig;
@@ -172,11 +172,12 @@ impl Engine {
     /// [`Cpu::step_block`]: the budget/target bounds are resolved here once
     /// per slice instead of per instruction, stats fold once per block, and
     /// the next block's lanes are prefetched while the current one
-    /// executes. Without decoded lanes it streams the varint decode one
-    /// instruction at a time (seeking to the resume point via block marks)
-    /// — the path the diff oracle's lockstep tee always uses, and the
-    /// fallback when the decode cache evicted this trace. Both paths are
-    /// bit-identical by construction and pinned by proptests.
+    /// executes. Without decoded lanes (the decode cache is off or evicted
+    /// this trace) it places a [`TraceCursor`](semloc_trace::TraceCursor)
+    /// at the resume point with one block-mark seek and streams the varint
+    /// decode through [`Cpu::run_until`], the primitive the multi-core
+    /// engine steps each quantum with. Both paths are bit-identical by
+    /// construction and pinned by proptests.
     pub fn run_to(&mut self, target: u64) -> u64 {
         let budget = self.config.instr_budget;
         let target = if budget == 0 {
@@ -197,13 +198,10 @@ impl Engine {
             }
             return self.cursor();
         }
-        let start = self.cursor() as usize;
-        for i in self.replay.trace().buf.iter_from(start) {
-            if self.cpu.stats().instructions >= target {
-                break;
-            }
-            self.cpu.instr(i);
-        }
+        let buf = &self.replay.trace().buf;
+        let mut stream = buf.cursor_at(self.cursor() as usize);
+        self.cpu
+            .run_until(buf, &mut stream, Stop::at_instructions(target));
         self.cursor()
     }
 

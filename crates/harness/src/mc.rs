@@ -17,24 +17,36 @@
 //! streams the varint decode (the single-core decoded-block fast path is
 //! quantum-oblivious, so it is not used here).
 //!
+//! Stepping: every core keeps a [`TraceCursor`] into its schedule across
+//! quanta, and a quantum is one [`Cpu::run_until`] call per core with the
+//! horizon as its cycle stop. The stop is checked before each decode, so
+//! a quantum decodes exactly the instructions it simulates and the next
+//! one resumes without a seek. The cursor is derived state: it is never
+//! serialized, and restore (hence fork) rebuilds it from the restored
+//! instruction count.
+//!
 //! Checkpointing follows the single-core engine's contract: an
 //! [`McCheckpoint`] snapshots the shared level once plus every core, is
 //! fingerprinted against the full engine identity, and restore/fork
 //! round-trip bit-identically mid-schedule (pinned by `mc_snapshot.rs`).
+//! The cores' hierarchies build no private L2, so their `HIER` sections
+//! carry only the L1 side.
 
 use std::io;
 
-use semloc_cpu::Cpu;
+use semloc_cpu::{Cpu, Stop};
 use semloc_mem::{DramConfig, Hierarchy, Prefetcher, SharedL2, SharedL2Handle, SharedL2Stats};
-use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot, TraceSink};
+use semloc_trace::{snap_err, Cycle, SnapReader, SnapWriter, Snapshot, TraceCursor};
 use semloc_workloads::{Kernel, ReplayKernel};
 
-use crate::config::SimConfig;
+use crate::config::{knob, SimConfig};
 use crate::prefetchers::PrefetcherKind;
 use crate::runner::{collect_result, Digest, RunResult};
 
 /// Version of the [`McCheckpoint`] encoding (the `MCCK` section version).
-pub const MC_CKPT_VERSION: u32 = 1;
+/// Version 2 dropped the cores' unused private L2 parts from the payload;
+/// a version 1 checkpoint is rejected.
+pub const MC_CKPT_VERSION: u32 = 2;
 
 /// Interference-mode parameters on top of a [`SimConfig`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,33 +69,49 @@ impl Default for McConfig {
 impl McConfig {
     /// Defaults overridden by `SEMLOC_MC_QUANTUM`, `SEMLOC_MC_DRAM_CHANNELS`
     /// and `SEMLOC_MC_DRAM_INTERVAL`.
+    ///
+    /// # Panics
+    ///
+    /// When a set, non-empty knob is not a positive integer (the channel
+    /// count one that fits a `u32`); the message names the variable and
+    /// its value.
     pub fn from_env() -> Self {
-        let var = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&v| v > 0)
-        };
+        match McConfig::from_lookup(|name| std::env::var(name).ok()) {
+            Ok(mc) => mc,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`McConfig::from_env`] over any variable lookup. An unset or empty
+    /// variable keeps its default; anything else must be a positive
+    /// integer, or the error names the variable and its value.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut mc = McConfig::default();
-        if let Some(q) = var("SEMLOC_MC_QUANTUM") {
+        if let Some(q) = knob("SEMLOC_MC_QUANTUM", &lookup)? {
             mc.quantum = q;
         }
-        if let Some(c) = var("SEMLOC_MC_DRAM_CHANNELS") {
-            mc.dram.channels = c as u32;
+        if let Some(c) = knob("SEMLOC_MC_DRAM_CHANNELS", &lookup)? {
+            mc.dram.channels = c;
         }
-        if let Some(i) = var("SEMLOC_MC_DRAM_INTERVAL") {
+        if let Some(i) = knob("SEMLOC_MC_DRAM_INTERVAL", &lookup)? {
             mc.dram.service_interval = i;
         }
-        mc
+        Ok(mc)
     }
 }
 
-/// One core of a multi-core engine: its schedule, prefetcher kind, and the
-/// private-L1 [`Cpu`] wired to the shared level.
+/// One core of a multi-core engine: its schedule, prefetcher kind, the
+/// private-L1 [`Cpu`] wired to the shared level, and its resume point in
+/// the schedule.
 pub struct McCore {
+    // semloc-lint: allow(snapshot-field-coverage): construction-time identity, pinned by the checkpoint fingerprint
     replay: ReplayKernel,
+    // semloc-lint: allow(snapshot-field-coverage): construction-time identity, pinned by the checkpoint fingerprint
     kind: PrefetcherKind,
     cpu: Cpu<Box<dyn Prefetcher>>,
+    /// Always placed at `cpu`'s instruction count.
+    // semloc-lint: allow(snapshot-field-coverage): derived state, rebuilt by restore from the restored instruction count
+    stream: TraceCursor,
 }
 
 impl McCore {
@@ -108,8 +136,8 @@ impl McCore {
     }
 
     fn done(&self, budget: u64) -> bool {
-        let c = self.cursor();
-        (budget != 0 && c >= budget) || c >= self.replay.trace().buf.len() as u64
+        (budget != 0 && self.cursor() >= budget)
+            || self.stream.position() >= self.replay.trace().buf.len()
     }
 }
 
@@ -121,7 +149,9 @@ impl Snapshot for McCore {
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> io::Result<()> {
         r.section(*b"MCOR", 1)?;
-        self.cpu.restore(r)
+        self.cpu.restore(r)?;
+        self.stream = self.replay.trace().buf.cursor_at(self.cursor() as usize);
+        Ok(())
     }
 }
 
@@ -219,7 +249,12 @@ impl McEngine {
                 let hierarchy =
                     Hierarchy::new_shared(config.mem.clone(), kind.build(), shared.clone());
                 let cpu = Cpu::new(config.cpu.clone(), hierarchy, config.instr_budget);
-                McCore { replay, kind, cpu }
+                McCore {
+                    replay,
+                    kind,
+                    cpu,
+                    stream: TraceCursor::default(),
+                }
             })
             .collect();
         McEngine {
@@ -262,24 +297,19 @@ impl McEngine {
     }
 
     /// Advance the horizon by one quantum and run each core (in index
-    /// order) until its clock reaches the horizon. Streams the varint
-    /// decode one instruction at a time — see the module docs for why the
-    /// decoded-block path is deliberately not used here.
+    /// order) until its clock reaches the horizon, its budget is spent or
+    /// its schedule ends: one [`Cpu::run_until`] per core from the cursor
+    /// it kept. Streams the varint decode — see the module docs for why
+    /// the decoded-block path is deliberately not used here.
     pub fn step_quantum(&mut self) {
         self.horizon += self.mc.quantum;
-        let budget = self.config.instr_budget;
         for core in &mut self.cores {
-            if core.done(budget) {
-                continue;
-            }
-            let start = core.cursor() as usize;
-            for i in core.replay.trace().buf.iter_from(start) {
-                let stats = core.cpu.stats();
-                if stats.cycles >= self.horizon || (budget != 0 && stats.instructions >= budget) {
-                    break;
-                }
-                core.cpu.instr(i);
-            }
+            debug_assert_eq!(core.stream.position() as u64, core.cursor());
+            core.cpu.run_until(
+                &core.replay.trace().buf,
+                &mut core.stream,
+                Stop::at_cycle(self.horizon),
+            );
         }
     }
 
@@ -424,6 +454,174 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig::default().with_budget(30_000)
+    }
+
+    /// The end test `McCore::done` made before cores kept a cursor.
+    fn reference_done(core: &McCore, budget: u64) -> bool {
+        let c = core.cursor();
+        (budget != 0 && c >= budget) || c >= core.replay.trace().buf.len() as u64
+    }
+
+    /// The per-quantum loop `step_quantum` ran before cores kept a
+    /// cursor: re-seek with `iter_from` every quantum and feed each
+    /// instruction through `TraceSink`, checking the stop after decoding.
+    fn step_quantum_reference(e: &mut McEngine) {
+        use semloc_trace::TraceSink;
+        e.horizon += e.mc.quantum;
+        let budget = e.config.instr_budget;
+        for core in &mut e.cores {
+            if reference_done(core, budget) {
+                continue;
+            }
+            let start = core.cursor() as usize;
+            for i in core.replay.trace().buf.iter_from(start) {
+                let stats = core.cpu.stats();
+                if stats.cycles >= e.horizon || (budget != 0 && stats.instructions >= budget) {
+                    break;
+                }
+                core.cpu.instr(i);
+            }
+        }
+    }
+
+    fn finish_digest(e: McEngine) -> u64 {
+        let (results, shared) = e.finish();
+        mc_digest(&results, &shared)
+    }
+
+    fn schedules() -> [Vec<(ReplayKernel, PrefetcherKind)>; 2] {
+        let two = vec![
+            (replay_of("list", 30_000), PrefetcherKind::context()),
+            (replay_of("array", 30_000), PrefetcherKind::Stride),
+        ];
+        let four = vec![
+            (replay_of("mcf", 30_000), PrefetcherKind::Sms),
+            (replay_of("array", 30_000), PrefetcherKind::Stride),
+            (replay_of("hashtest", 30_000), PrefetcherKind::None),
+            (replay_of("list", 30_000), PrefetcherKind::context()),
+        ];
+        [two, four]
+    }
+
+    #[test]
+    fn kept_cursor_matches_the_per_quantum_seek_reference() {
+        let mc = McConfig::default();
+        for specs in schedules() {
+            let mut reference = McEngine::new(specs.clone(), &cfg(), &mc);
+            let budget = reference.config.instr_budget;
+            while !reference.cores.iter().all(|c| reference_done(c, budget)) {
+                step_quantum_reference(&mut reference);
+            }
+            let quanta = reference.horizon / mc.quantum;
+            let want = finish_digest(reference);
+
+            let mut e = McEngine::new(specs.clone(), &cfg(), &mc);
+            e.run_to_end();
+            assert_eq!(e.horizon / mc.quantum, quanta, "same quantum count");
+            assert_eq!(
+                finish_digest(e),
+                want,
+                "{} cores straight through",
+                specs.len()
+            );
+
+            // Checkpoint mid-run, run on, then rewind: the restore must
+            // rebuild every core's cursor at its restored position.
+            let mut e = McEngine::new(specs.clone(), &cfg(), &mc);
+            for _ in 0..5 {
+                e.step_quantum();
+            }
+            let ckpt = e.checkpoint();
+            for _ in 0..7 {
+                e.step_quantum();
+            }
+            e.restore(&ckpt).expect("rewind");
+            e.run_to_end();
+            assert_eq!(
+                finish_digest(e),
+                want,
+                "{} cores after a rewind",
+                specs.len()
+            );
+
+            // A cold engine restored mid-run starts from rebuilt cursors.
+            let mut cold = McEngine::new(specs.clone(), &cfg(), &mc);
+            cold.restore(&ckpt).expect("restore into a cold engine");
+            cold.run_to_end();
+            assert_eq!(
+                finish_digest(cold),
+                want,
+                "{} cores after a restore",
+                specs.len()
+            );
+        }
+    }
+
+    #[test]
+    fn version_1_mc_checkpoints_are_invalid_data() {
+        let mut e = McEngine::new(
+            vec![(replay_of("list", 30_000), PrefetcherKind::Stride)],
+            &cfg(),
+            &McConfig::default(),
+        );
+        e.step_quantum();
+        let v1 = McCheckpoint {
+            version: 1,
+            ..e.checkpoint()
+        };
+        let err = McCheckpoint::from_bytes(&v1.to_bytes()).expect_err("v1 bytes");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let err = e.restore(&v1).expect_err("v1 checkpoint");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// `name` set to `value`, every other variable unset.
+    fn only(name: &'static str, value: &'static str) -> impl Fn(&str) -> Option<String> {
+        move |n: &str| (n == name).then(|| value.to_string())
+    }
+
+    /// Unset or empty `name` keeps the defaults; zero and malformed values
+    /// fail, naming the variable and the value.
+    fn assert_rejects_bad_values(name: &'static str) {
+        assert_eq!(McConfig::from_lookup(|_| None), Ok(McConfig::default()));
+        assert_eq!(
+            McConfig::from_lookup(only(name, "")),
+            Ok(McConfig::default())
+        );
+        for bad in ["0", "2k", "-1", "abc", "18446744073709551616"] {
+            let err = McConfig::from_lookup(only(name, bad)).expect_err(bad);
+            assert!(
+                err.contains(name) && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn quantum_knob_fails_loudly() {
+        assert_rejects_bad_values("SEMLOC_MC_QUANTUM");
+        let mc = McConfig::from_lookup(only("SEMLOC_MC_QUANTUM", "500")).expect("valid");
+        assert_eq!(mc.quantum, 500);
+    }
+
+    #[test]
+    fn dram_channels_knob_fails_loudly() {
+        assert_rejects_bad_values("SEMLOC_MC_DRAM_CHANNELS");
+        let mc = McConfig::from_lookup(only("SEMLOC_MC_DRAM_CHANNELS", "4")).expect("valid");
+        assert_eq!(mc.dram.channels, 4);
+        let err = McConfig::from_lookup(only("SEMLOC_MC_DRAM_CHANNELS", "4294967296"))
+            .expect_err("channel count overflows u32");
+        assert!(
+            err.contains("SEMLOC_MC_DRAM_CHANNELS=\"4294967296\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn dram_interval_knob_fails_loudly() {
+        assert_rejects_bad_values("SEMLOC_MC_DRAM_INTERVAL");
+        let mc = McConfig::from_lookup(only("SEMLOC_MC_DRAM_INTERVAL", "16")).expect("valid");
+        assert_eq!(mc.dram.service_interval, 16);
     }
 
     #[test]

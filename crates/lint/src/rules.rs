@@ -101,11 +101,14 @@ mutable run state participates in snapshotting. The source of truth is
 crates/lint/snapshot_manifest.txt: each entry names a sim-crate struct
 and its coverage mechanism ('snapshot' for `impl Snapshot for X`,
 'state' for a `fn save_state` override inside an `impl ... for X`
-block). The rule fails when (a) a manifest entry has no matching
-coverage in its crate, (b) a covered struct is missing from the
-manifest, or (c) — heuristic, warn-level — a non-test struct embeds a
-manifested state type in its fields without being covered itself, which
-is how new state silently escapes checkpointing. Fix (c) by
+block). An entry may also name a struct outside the sim crates (the
+harness's multi-core core wrapper); its crate's library code is then
+checked for that entry too. The rule fails when (a) a manifest entry
+has no matching coverage in its crate, (b) a covered sim-crate struct
+is missing from the manifest, or (c) — heuristic, warn-level — a
+non-test sim-crate struct embeds a manifested state type in its fields
+without being covered itself, which is how new state silently escapes
+checkpointing. Fix (c) by
 implementing Snapshot and adding the struct to the manifest, or pragma
 the declaration if the field is genuinely derived/transient state:
   // semloc-lint: allow(snapshot-coverage): <why this is not run state>",
@@ -191,8 +194,8 @@ are genuinely construction-time configuration or derived/rebuildable
 state carry a per-field pragma on the declaration line (or the line
 above):
   // semloc-lint: allow(snapshot-field-coverage): <why this field is not run state>
-Enum and tuple-struct snapshot targets are out of scope (no named
-fields). The meta-test suite seeds a mutation — deleting one field
+Entries in non-sim crates are checked the same way. Enum and
+tuple-struct snapshot targets are out of scope (no named fields). The meta-test suite seeds a mutation — deleting one field
 reference from a real save body — and asserts the lint catches it, so
 the rule itself cannot silently rot.",
     },
@@ -495,14 +498,25 @@ fn is_sim_lib(ctx: &FileCtx<'_>) -> bool {
     is_sim_crate(ctx.file) && ctx.file.kind == FileKind::LibSrc
 }
 
-/// Coverage sites across all sim-crate library files, from the item
+/// Whether a file's Snapshot impls and manifested structs are checked by
+/// D4's entry check and by D8: sim-crate library code, plus the library
+/// code of any other crate the manifest names an entry in.
+fn in_manifest_scope(ctx: &FileCtx<'_>, manifest: &[ManifestEntry]) -> bool {
+    ctx.file.kind == FileKind::LibSrc
+        && (is_sim_crate(ctx.file)
+            || manifest
+                .iter()
+                .any(|e| ctx.file.crate_dir.as_deref() == Some(e.crate_dir.as_str())))
+}
+
+/// Coverage sites across all in-scope library files, from the item
 /// model: `impl Snapshot for X` is the snapshot mechanism; a trait impl
 /// carrying a `fn save_state` override is the state mechanism. Inherent
 /// impls never count (matching the launch rule's semantics).
-fn collect_coverage(ctxs: &[FileCtx<'_>]) -> Vec<Coverage> {
+fn collect_coverage(ctxs: &[FileCtx<'_>], manifest: &[ManifestEntry]) -> Vec<Coverage> {
     let mut covered = Vec::new();
     for ctx in ctxs {
-        if !is_sim_lib(ctx) {
+        if !in_manifest_scope(ctx, manifest) {
             continue;
         }
         let crate_dir = ctx.file.crate_dir.clone().unwrap_or_default();
@@ -538,7 +552,7 @@ pub fn check_snapshot_coverage(
     manifest: &[ManifestEntry],
     manifest_path: &str,
 ) -> Vec<Finding> {
-    let covered = collect_coverage(ctxs);
+    let covered = collect_coverage(ctxs, manifest);
     let mut out = Vec::new();
 
     // (a) Every manifest entry must be covered, by the declared mechanism.
@@ -729,7 +743,9 @@ pub fn check_snapshot_field_coverage(
         // The struct declaration (named fields only — enums and tuple
         // structs have no field identifiers to track).
         let decl = ctxs.iter().find_map(|ctx| {
-            if !is_sim_lib(ctx) || ctx.file.crate_dir.as_deref() != Some(e.crate_dir.as_str()) {
+            if !in_manifest_scope(ctx, manifest)
+                || ctx.file.crate_dir.as_deref() != Some(e.crate_dir.as_str())
+            {
                 return None;
             }
             ctx.model
@@ -743,7 +759,9 @@ pub fn check_snapshot_field_coverage(
         };
         // The Snapshot impl and its save/restore bodies.
         let cov = ctxs.iter().find_map(|ctx| {
-            if !is_sim_lib(ctx) || ctx.file.crate_dir.as_deref() != Some(e.crate_dir.as_str()) {
+            if !in_manifest_scope(ctx, manifest)
+                || ctx.file.crate_dir.as_deref() != Some(e.crate_dir.as_str())
+            {
                 return None;
             }
             ctx.model

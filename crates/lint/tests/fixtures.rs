@@ -868,6 +868,25 @@ fn d8_scope_skips_state_mechanism_enums_and_unmanifested_structs() {
 }
 
 #[test]
+fn d4_and_d8_check_manifest_entries_outside_the_sim_crates() {
+    // A manifested harness struct is checked like a sim-crate one: its
+    // coverage satisfies D4's entry check, and D8 reads its fields.
+    let files = [fixture("harness", FileKind::LibSrc, SNAP_FULL)];
+    assert!(d4_run("harness/Table snapshot\n", &files).is_empty());
+    assert!(d8_run("harness/Table snapshot\n", &files).is_empty());
+    let src = SNAP_FULL.replace("self.tick = r.u64()?; ", "");
+    let f = d8_run(
+        "harness/Table snapshot\n",
+        &[fixture("harness", FileKind::LibSrc, src.as_str())],
+    );
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].message.contains("harness/Table"), "{}", f[0].message);
+    // Unmanifested, the harness stays out of scope.
+    assert!(d4_run("", &files).is_empty());
+    assert!(d8_run("", &[fixture("harness", FileKind::LibSrc, src.as_str())]).is_empty());
+}
+
+#[test]
 fn d8_per_field_pragma_suppresses_through_lint() {
     // Config-derived fields carry the pragma on the declaration line; the
     // suppression runs through the full `lint()` pass.

@@ -41,44 +41,57 @@ pub struct Hierarchy<P: Prefetcher> {
     // semloc-lint: allow(snapshot-field-coverage): construction-time config (latencies/geometry), not run state
     cfg: MemConfig,
     l1: Cache,
-    l2: Cache,
     l1_mshrs: MshrFile,
-    l2_mshrs: MshrFile,
+    l2: L2Leg,
     prefetcher: P,
     stats: MemStats,
     // semloc-lint: allow(snapshot-field-coverage): allocation-reuse scratch, cleared before every use in demand_access
     req_buf: Vec<PrefetchReq>,
-    /// In interference mode the L2/DRAM legs go through the shared level
-    /// instead of the private `l2`/`l2_mshrs` (which then stay empty).
-    // semloc-lint: allow(snapshot-field-coverage): handle only — mem/SharedL2 is manifested and snapshotted once by the owning multi-core harness
-    shared: Option<SharedL2Handle>,
+}
+
+/// Where a hierarchy's L2/DRAM legs go.
+// One per hierarchy and never moved after construction; boxing the
+// private variant would add a pointer chase to every single-core L2 leg.
+#[allow(clippy::large_enum_variant)]
+enum L2Leg {
+    /// A private L2 array and MSHR file over flat-latency DRAM.
+    Private { cache: Cache, mshrs: MshrFile },
+    /// The multi-core shared level. Only the handle lives here: the
+    /// owning multi-core engine snapshots the shared level once.
+    Shared(SharedL2Handle),
 }
 
 impl<P: Prefetcher> Hierarchy<P> {
     /// Build the hierarchy described by `cfg` with `prefetcher` attached to
     /// the L1.
     pub fn new(cfg: MemConfig, prefetcher: P) -> Self {
+        let l2 = L2Leg::Private {
+            cache: Cache::new(cfg.l2.clone()),
+            mshrs: MshrFile::new(cfg.l2.mshrs, cfg.l2.line_bytes),
+        };
+        Hierarchy::with_l2(cfg, prefetcher, l2)
+    }
+
+    /// Build a hierarchy whose L2/DRAM legs go through `shared` — the
+    /// private-L1 half of one core in the multi-core interference mode.
+    /// No private L2 array or L2 MSHR file is built, and the hierarchy's
+    /// snapshot holds none. The `cfg.l2` geometry is ignored (the shared
+    /// level carries its own); only the L1 and `prefetch_mshr_reserve`
+    /// fields matter.
+    pub fn new_shared(cfg: MemConfig, prefetcher: P, shared: SharedL2Handle) -> Self {
+        Hierarchy::with_l2(cfg, prefetcher, L2Leg::Shared(shared))
+    }
+
+    fn with_l2(cfg: MemConfig, prefetcher: P, l2: L2Leg) -> Self {
         Hierarchy {
             l1: Cache::new(cfg.l1.clone()),
-            l2: Cache::new(cfg.l2.clone()),
             l1_mshrs: MshrFile::new(cfg.l1.mshrs, cfg.l1.line_bytes),
-            l2_mshrs: MshrFile::new(cfg.l2.mshrs, cfg.l2.line_bytes),
+            l2,
             cfg,
             prefetcher,
             stats: MemStats::default(),
             req_buf: Vec::with_capacity(8),
-            shared: None,
         }
-    }
-
-    /// Build a hierarchy whose L2/DRAM legs go through `shared` — the
-    /// private-L1 half of one core in the multi-core interference mode. The
-    /// `cfg.l2` geometry is ignored (the shared level carries its own); only
-    /// the L1 and `prefetch_mshr_reserve` fields matter.
-    pub fn new_shared(cfg: MemConfig, prefetcher: P, shared: SharedL2Handle) -> Self {
-        let mut h = Hierarchy::new(cfg, prefetcher);
-        h.shared = Some(shared);
-        h
     }
 
     /// The attached prefetcher.
@@ -105,9 +118,9 @@ impl<P: Prefetcher> Hierarchy<P> {
     /// reflects the contended shared file, so prefetchers back off when
     /// *other* cores saturate it.
     pub fn pressure(&mut self, now: Cycle) -> MemPressure {
-        let l2_mshr_free = match &self.shared {
-            Some(sh) => sh.borrow_mut().mshr_free(now),
-            None => self.l2_mshrs.free(now),
+        let l2_mshr_free = match &mut self.l2 {
+            L2Leg::Shared(sh) => sh.borrow_mut().mshr_free(now),
+            L2Leg::Private { mshrs, .. } => mshrs.free(now),
         };
         MemPressure {
             l1_mshr_free: self.l1_mshrs.free(now),
@@ -209,8 +222,8 @@ impl<P: Prefetcher> Hierarchy<P> {
             }
         }
 
-        let l2_ready = match &self.shared {
-            Some(sh) => {
+        let l2_ready = match &mut self.l2 {
+            L2Leg::Shared(sh) => {
                 let (ready, missed) = sh
                     .borrow_mut()
                     .demand_leg(addr, start + l1_lat, kind, dirty);
@@ -219,28 +232,32 @@ impl<P: Prefetcher> Hierarchy<P> {
                 }
                 ready
             }
-            None => match self.l2.lookup_demand(addr, start + l1_lat, dirty) {
-                LookupResult::Hit { .. } => start + l1_lat + l2_lat,
-                LookupResult::InFlight { ready_at, .. } => ready_at.max(start + l1_lat) + l2_lat,
-                LookupResult::Miss => {
-                    self.stats.l2_misses += 1;
-                    // L2 MSHR backpressure (reservation-counted for demands).
-                    let mut l2_start = start + l1_lat + l2_lat;
-                    while kind == MshrKind::Demand && self.l2_mshrs.free_for_demand(l2_start) == 0 {
-                        match self.l2_mshrs.earliest_demand_fill() {
-                            Some(t) if t > l2_start => l2_start = t,
-                            _ => break,
+            L2Leg::Private { cache, mshrs } => {
+                match cache.lookup_demand(addr, start + l1_lat, dirty) {
+                    LookupResult::Hit { .. } => start + l1_lat + l2_lat,
+                    LookupResult::InFlight { ready_at, .. } => {
+                        ready_at.max(start + l1_lat) + l2_lat
+                    }
+                    LookupResult::Miss => {
+                        self.stats.l2_misses += 1;
+                        // L2 MSHR backpressure (reservation-counted for demands).
+                        let mut l2_start = start + l1_lat + l2_lat;
+                        while kind == MshrKind::Demand && mshrs.free_for_demand(l2_start) == 0 {
+                            match mshrs.earliest_demand_fill() {
+                                Some(t) if t > l2_start => l2_start = t,
+                                _ => break,
+                            }
                         }
+                        let fill = l2_start + self.cfg.dram_latency;
+                        let _ = mshrs.try_allocate(addr, fill, kind, l2_start);
+                        let ev = cache.fill(addr, fill, false, false);
+                        if ev.dirty {
+                            self.stats.writebacks += 1;
+                        }
+                        fill
                     }
-                    let fill = l2_start + self.cfg.dram_latency;
-                    let _ = self.l2_mshrs.try_allocate(addr, fill, kind, l2_start);
-                    let ev = self.l2.fill(addr, fill, false, false);
-                    if ev.dirty {
-                        self.stats.writebacks += 1;
-                    }
-                    fill
                 }
-            },
+            }
         };
 
         let _ = self.l1_mshrs.try_allocate(addr, l2_ready, kind, start);
@@ -274,8 +291,8 @@ impl<P: Prefetcher> Hierarchy<P> {
         // Prefetches that miss the L2 ride the L2's MSHRs for the DRAM leg;
         // the L1 MSHR is only held for the final L2→L1 transfer window, so
         // the 4-entry L1 file does not serialize deep prefetching.
-        let (fill, l1_window_start) = match &self.shared {
-            Some(sh) => {
+        let (fill, l1_window_start) = match &mut self.l2 {
+            L2Leg::Shared(sh) => {
                 let leg = sh.borrow_mut().prefetch_leg(addr, now + l1_lat, now);
                 match leg {
                     Some(fill_window) => fill_window,
@@ -285,22 +302,21 @@ impl<P: Prefetcher> Hierarchy<P> {
                     }
                 }
             }
-            None => match self.l2.lookup_demand(addr, now + l1_lat, false) {
+            L2Leg::Private { cache, mshrs } => match cache.lookup_demand(addr, now + l1_lat, false)
+            {
                 LookupResult::Hit { .. } => (now + l1_lat + l2_lat, now),
                 LookupResult::InFlight { ready_at, .. } => {
                     let fill = ready_at.max(now + l1_lat) + l2_lat;
                     (fill, fill.saturating_sub(l2_lat))
                 }
                 LookupResult::Miss => {
-                    if self.l2_mshrs.free(now) == 0 {
+                    if mshrs.free(now) == 0 {
                         self.stats.prefetches_rejected += 1;
                         return false;
                     }
                     let fill = now + l1_lat + l2_lat + self.cfg.dram_latency;
-                    let _ = self
-                        .l2_mshrs
-                        .try_allocate(addr, fill, MshrKind::Prefetch, now);
-                    let ev = self.l2.fill(addr, fill, false, false);
+                    let _ = mshrs.try_allocate(addr, fill, MshrKind::Prefetch, now);
+                    let ev = cache.fill(addr, fill, false, false);
                     if ev.dirty {
                         self.stats.writebacks += 1;
                     }
@@ -333,11 +349,17 @@ impl<P: Prefetcher> Hierarchy<P> {
 
 impl<P: Prefetcher> Snapshot for Hierarchy<P> {
     fn save(&self, w: &mut SnapWriter) {
+        // A shared hierarchy writes no L2 parts: the multi-core engine
+        // saves the shared level once. The private layout is unchanged.
         w.section(*b"HIER", 1);
         self.l1.save(w);
-        self.l2.save(w);
+        if let L2Leg::Private { cache, .. } = &self.l2 {
+            cache.save(w);
+        }
         self.l1_mshrs.save(w);
-        self.l2_mshrs.save(w);
+        if let L2Leg::Private { mshrs, .. } = &self.l2 {
+            mshrs.save(w);
+        }
         self.stats.save(w);
         self.prefetcher.save_state(w);
     }
@@ -345,9 +367,13 @@ impl<P: Prefetcher> Snapshot for Hierarchy<P> {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> std::io::Result<()> {
         r.section(*b"HIER", 1)?;
         self.l1.restore(r)?;
-        self.l2.restore(r)?;
+        if let L2Leg::Private { cache, .. } = &mut self.l2 {
+            cache.restore(r)?;
+        }
         self.l1_mshrs.restore(r)?;
-        self.l2_mshrs.restore(r)?;
+        if let L2Leg::Private { mshrs, .. } = &mut self.l2 {
+            mshrs.restore(r)?;
+        }
         self.stats.restore(r)?;
         self.prefetcher.restore_state(r)
     }
@@ -411,6 +437,34 @@ mod tests {
             1,
             "merged access must not refetch from DRAM"
         );
+    }
+
+    #[test]
+    fn shared_hierarchy_builds_and_snapshots_no_private_l2() {
+        use crate::shared_l2::{DramConfig, SharedL2};
+        let cfg = MemConfig::default();
+        let shared = SharedL2::handle(cfg.l2.clone(), DramConfig::default());
+        let mut a = Hierarchy::new_shared(cfg.clone(), NoPrefetch, shared.clone());
+        let mut private = h();
+        for i in 0..64 {
+            a.demand_access(&ctx(i, 0x10000 + i * 4096), i * 10);
+            private.demand_access(&ctx(i, 0x10000 + i * 4096), i * 10);
+        }
+        let save = |m: &Hierarchy<NoPrefetch>| {
+            let mut w = SnapWriter::new();
+            m.save(&mut w);
+            w.into_bytes()
+        };
+        let bytes = save(&a);
+        let mut b = Hierarchy::new_shared(cfg.clone(), NoPrefetch, shared);
+        let mut r = SnapReader::new(&bytes);
+        b.restore(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(save(&b), bytes, "save -> restore -> save must be stable");
+        // The private snapshot carries one record per L2 line (tag, flags,
+        // LRU tick, ready cycle); the shared one carries none.
+        let l2_lines = (cfg.l2.size_bytes / cfg.l2.line_bytes) as usize;
+        assert!(save(&private).len() >= bytes.len() + l2_lines * 25);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct TraceBuffer {
     // Decoder state at each block boundary; marks[k] describes the state
     // right before instruction (k+1)*BLOCK_LEN (block 0 starts from zero).
     marks: Vec<Mark>,
-    // Encoder state (the decoder keeps its own copy in the cursor).
+    // Encoder state (the decoder keeps its own copy in a TraceCursor).
     prev_pc: u64,
     prev_addr: u64,
 }
@@ -229,16 +229,7 @@ impl TraceBuffer {
 
     /// Iterate the stored instructions in push order.
     pub fn iter(&self) -> TraceIter<'_> {
-        TraceIter {
-            buf: self,
-            i: 0,
-            p_pcs: 0,
-            p_addrs: 0,
-            p_regs: 0,
-            p_aux: 0,
-            prev_pc: 0,
-            prev_addr: 0,
-        }
+        self.iter_from(0)
     }
 
     /// Iterate the stored instructions starting at index `start`, seeking
@@ -246,19 +237,22 @@ impl TraceBuffer {
     /// most [`BLOCK_LEN`]`-1` decode-skips, instead of decoding the whole
     /// prefix. Starting at or past the end yields an exhausted iterator.
     pub fn iter_from(&self, start: usize) -> TraceIter<'_> {
-        let start = start.min(self.ops.len());
-        if start == self.ops.len() {
-            let mut it = self.iter();
-            it.i = self.ops.len();
-            return it;
+        TraceIter {
+            buf: self,
+            cursor: self.cursor_at(start),
         }
-        let block = start / BLOCK_LEN;
-        let mut it = if block == 0 {
-            self.iter()
-        } else {
-            let m = self.marks[block - 1];
-            TraceIter {
-                buf: self,
+    }
+
+    /// A [`TraceCursor`] placed before instruction `start` (clamped to the
+    /// end), found the way [`TraceBuffer::iter_from`] seeks.
+    pub fn cursor_at(&self, start: usize) -> TraceCursor {
+        let start = start.min(self.ops.len());
+        // No mark follows the last instruction, so the end of a buffer
+        // whose length is a multiple of BLOCK_LEN seeks from the mark
+        // before it.
+        let block = (start / BLOCK_LEN).min(self.marks.len());
+        let mut cur = match block.checked_sub(1).and_then(|k| self.marks.get(k)) {
+            Some(m) => TraceCursor {
                 i: block * BLOCK_LEN,
                 p_pcs: m.p_pcs as usize,
                 p_addrs: m.p_addrs as usize,
@@ -266,12 +260,13 @@ impl TraceBuffer {
                 p_aux: m.p_aux as usize,
                 prev_pc: m.prev_pc,
                 prev_addr: m.prev_addr,
-            }
+            },
+            None => TraceCursor::default(),
         };
-        for _ in it.i..start {
-            it.next();
+        while cur.i < start {
+            cur.next(self);
         }
-        it
+        cur
     }
 
     /// Serialize to the `SEMLOC02` on-disk format.
@@ -320,10 +315,29 @@ impl std::fmt::Debug for TraceBuffer {
     }
 }
 
-/// Sequential decoder over a [`TraceBuffer`].
-#[derive(Clone, Debug)]
-pub struct TraceIter<'a> {
-    buf: &'a TraceBuffer,
+/// Resumable decoder state over a [`TraceBuffer`]: the index of the next
+/// instruction, the column positions and the delta baselines.
+///
+/// A cursor holds no borrow, so a long-lived owner (a simulated core
+/// stepping one quantum at a time) can keep it across calls and resume
+/// exactly where it stopped, without re-seeking. It must only be used
+/// with the buffer that placed it ([`TraceBuffer::cursor_at`]).
+///
+/// ```rust
+/// use semloc_trace::{Instr, TraceBuffer};
+///
+/// let mut buf = TraceBuffer::new();
+/// for pc in [0x400, 0x408, 0x410] {
+///     buf.push(&Instr::nop(pc));
+/// }
+/// let mut cur = buf.cursor_at(0);
+/// assert_eq!(cur.next(&buf).map(|i| i.pc), Some(0x400));
+/// let saved = cur; // Copy: a saved resume point
+/// assert_eq!(cur.next(&buf).map(|i| i.pc), Some(0x408));
+/// assert_eq!(saved, buf.cursor_at(1));
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceCursor {
     i: usize,
     p_pcs: usize,
     p_addrs: usize,
@@ -333,11 +347,16 @@ pub struct TraceIter<'a> {
     prev_addr: u64,
 }
 
-impl TraceIter<'_> {
+impl TraceCursor {
+    /// Index of the next instruction this cursor decodes.
+    pub fn position(&self) -> usize {
+        self.i
+    }
+
     #[inline]
-    fn reg(&mut self, present: bool) -> Option<Reg> {
+    fn reg(&mut self, buf: &TraceBuffer, present: bool) -> Option<Reg> {
         if present {
-            let r = self.buf.regs[self.p_regs];
+            let r = buf.regs[self.p_regs];
             self.p_regs += 1;
             Some(Reg(r))
         } else {
@@ -346,51 +365,46 @@ impl TraceIter<'_> {
     }
 
     #[inline]
-    fn mem_operand(&mut self) -> (u64, u8) {
-        let delta = unzigzag(get_varint(&self.buf.addrs, &mut self.p_addrs));
+    fn mem_operand(&mut self, buf: &TraceBuffer) -> (u64, u8) {
+        let delta = unzigzag(get_varint(&buf.addrs, &mut self.p_addrs));
         let addr = self.prev_addr.wrapping_add(delta as u64);
         self.prev_addr = addr;
-        let size = self.buf.addrs[self.p_addrs];
+        let size = buf.addrs[self.p_addrs];
         self.p_addrs += 1;
         (addr, size)
     }
-}
 
-impl Iterator for TraceIter<'_> {
-    type Item = Instr;
-
-    fn next(&mut self) -> Option<Instr> {
-        if self.i >= self.buf.ops.len() {
-            return None;
-        }
-        let op = self.buf.ops[self.i];
+    /// Decode the next instruction of `buf` and advance, or `None` at the
+    /// end of the buffer.
+    #[inline]
+    pub fn next(&mut self, buf: &TraceBuffer) -> Option<Instr> {
+        let &op = buf.ops.get(self.i)?;
         self.i += 1;
 
-        let delta = unzigzag(get_varint(&self.buf.pcs, &mut self.p_pcs));
+        let delta = unzigzag(get_varint(&buf.pcs, &mut self.p_pcs));
         let pc = self.prev_pc.wrapping_add(delta as u64);
         self.prev_pc = pc;
 
-        let src1 = self.reg(op & F_SRC1 != 0);
-        let src2 = self.reg(op & F_SRC2 != 0);
-        let dst = self.reg(op & F_DST != 0);
+        let src1 = self.reg(buf, op & F_SRC1 != 0);
+        let src2 = self.reg(buf, op & F_SRC2 != 0);
+        let dst = self.reg(buf, op & F_DST != 0);
 
         let kind = match op & KIND_MASK {
             K_ALU => InstrKind::Alu {
-                latency: get_varint(&self.buf.aux, &mut self.p_aux) as u32,
+                latency: get_varint(&buf.aux, &mut self.p_aux) as u32,
             },
             K_LOAD => {
-                let (addr, size) = self.mem_operand();
-                let hints = (op & F_AUX != 0).then(|| {
-                    SemanticHints::unpack(get_varint(&self.buf.aux, &mut self.p_aux) as u32)
-                });
+                let (addr, size) = self.mem_operand(buf);
+                let hints = (op & F_AUX != 0)
+                    .then(|| SemanticHints::unpack(get_varint(&buf.aux, &mut self.p_aux) as u32));
                 InstrKind::Load { addr, size, hints }
             }
             K_STORE => {
-                let (addr, size) = self.mem_operand();
+                let (addr, size) = self.mem_operand(buf);
                 InstrKind::Store { addr, size }
             }
             K_BRANCH => {
-                let tdelta = unzigzag(get_varint(&self.buf.aux, &mut self.p_aux));
+                let tdelta = unzigzag(get_varint(&buf.aux, &mut self.p_aux));
                 InstrKind::Branch {
                     taken: op & F_AUX != 0,
                     target: pc.wrapping_add(tdelta as u64),
@@ -400,7 +414,7 @@ impl Iterator for TraceIter<'_> {
         };
 
         let result = if op & F_RESULT != 0 {
-            get_varint(&self.buf.aux, &mut self.p_aux)
+            get_varint(&buf.aux, &mut self.p_aux)
         } else {
             0
         };
@@ -414,9 +428,25 @@ impl Iterator for TraceIter<'_> {
             result,
         })
     }
+}
+
+/// Sequential decoder over a [`TraceBuffer`]: a [`TraceCursor`] bound to
+/// its buffer.
+#[derive(Clone, Debug)]
+pub struct TraceIter<'a> {
+    buf: &'a TraceBuffer,
+    cursor: TraceCursor,
+}
+
+impl Iterator for TraceIter<'_> {
+    type Item = Instr;
+
+    fn next(&mut self) -> Option<Instr> {
+        self.cursor.next(self.buf)
+    }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.buf.ops.len() - self.i;
+        let rem = self.buf.ops.len() - self.cursor.i;
         (rem, Some(rem))
     }
 }

@@ -48,7 +48,7 @@ pub mod sink;
 pub mod snap;
 
 pub use address_space::{AddressSpace, Placement};
-pub use buffer::{BufferSink, TraceBuffer, BLOCK_LEN};
+pub use buffer::{BufferSink, TraceBuffer, TraceCursor, BLOCK_LEN};
 pub use context::{AccessContext, RECENT_ADDRS};
 pub use decoded::{DecodedChunk, DecodedTrace, InstrBlock};
 pub use emit::{Emitter, PcAlloc};

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use semloc_trace::{
     Instr, InstrKind, RecordingSink, RefForm, Reg, SemanticHints, TraceBuffer, TraceReader,
-    TraceSink, TraceWriter,
+    TraceSink, TraceWriter, BLOCK_LEN,
 };
 
 /// Build one instruction from raw entropy, covering every variant and the
@@ -155,6 +155,44 @@ proptest! {
         prop_assert_eq!(back.iter().collect::<Vec<_>>(), instrs);
     }
 
+    /// A cursor saved at any split point and resumed from the saved copy
+    /// reproduces `iter()`'s stream exactly, and equals the cursor
+    /// `cursor_at` seeks to. Splits cover random points, 0, the end, and
+    /// every multiple of BLOCK_LEN.
+    #[test]
+    fn cursor_resume_reproduces_iter(raws in proptest::collection::vec(
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 0..1100),
+        cuts in proptest::collection::vec(any::<u64>(), 0..8))
+    {
+        let mut buf = TraceBuffer::new();
+        for raw in raws {
+            buf.push(&instr_from(raw));
+        }
+        let want: Vec<Instr> = buf.iter().collect();
+        let n = buf.len();
+        let mut splits: Vec<usize> = cuts.iter().map(|&c| (c % (n as u64 + 1)) as usize).collect();
+        splits.extend((0..=n).step_by(BLOCK_LEN));
+        splits.push(n);
+        splits.sort_unstable();
+        splits.dedup();
+
+        let mut cur = buf.cursor_at(0);
+        let mut got = Vec::with_capacity(n);
+        for &split in &splits {
+            while cur.position() < split {
+                got.push(cur.next(&buf).expect("split is within the buffer"));
+            }
+            let saved = cur;
+            prop_assert_eq!(saved, buf.cursor_at(split));
+            // Decoding ahead on the live copy leaves the saved one intact.
+            let ahead = cur.next(&buf);
+            prop_assert_eq!(ahead, want.get(split).copied());
+            cur = saved;
+        }
+        prop_assert_eq!(cur.next(&buf), None);
+        prop_assert_eq!(got, want);
+    }
+
     /// Truncating a valid stream anywhere inside the payload fails cleanly
     /// (an I/O or data error — never a panic, never silent success).
     #[test]
@@ -261,4 +299,31 @@ fn empty_trace_roundtrips() {
     assert_eq!(n, 0);
     assert!(sink.instrs().is_empty());
     assert!(TraceBuffer::read_semloc(&bytes[..]).unwrap().is_empty());
+}
+
+#[test]
+fn cursor_at_the_end_of_whole_blocks_is_exhausted() {
+    // A buffer of whole blocks has no seek mark after its last
+    // instruction; seeking to its end must still land there.
+    for n in [0, 1, BLOCK_LEN - 1, BLOCK_LEN, BLOCK_LEN + 1, 2 * BLOCK_LEN] {
+        let instrs: Vec<Instr> = (0..n as u64)
+            .map(|i| instr_from((i * 7, i * 8, i * 64, i)))
+            .collect();
+        let mut buf = TraceBuffer::new();
+        for i in &instrs {
+            buf.push(i);
+        }
+        let mut end = buf.cursor_at(n);
+        assert_eq!(end.position(), n);
+        assert_eq!(end.next(&buf), None, "len {n}");
+        assert_eq!(
+            buf.cursor_at(n + 3),
+            buf.cursor_at(n),
+            "past the end clamps"
+        );
+        for start in [0, n / 2, n.saturating_sub(1)] {
+            let got: Vec<Instr> = buf.iter_from(start).collect();
+            assert_eq!(got, instrs[start..], "len {n} start {start}");
+        }
+    }
 }
