@@ -1,10 +1,7 @@
-//! 256-bit AVX2 implementations.
-//!
-//! AVX2 fills the gaps SSE2 has to synthesize around: native 64-bit
-//! equality/compare (`vpcmpeqq`/`vpcmpgtq`), signed byte min/max
-//! (`vpminsb`/`vpmaxsb`), unsigned dword min (`vpminud`) and a real gather
-//! (`vpgatherdd`). Every kernel is pinned bit-identical to
-//! [`crate::scalar`] by the equivalence property suite.
+//! 256-bit AVX2 implementations: native 64-bit lane equality
+//! (`vpcmpeqq`) checks four ways or four delta positions per compare.
+//! Both kernels are pinned bit-identical to [`crate::scalar`] by the
+//! equivalence property suite.
 //!
 //! # Safety
 //!
@@ -15,268 +12,18 @@
 //! the dispatcher ever selects this tier. That shared contract is
 //! documented here once rather than per function.
 
-#![allow(unsafe_op_in_unsafe_fn)]
 #![allow(clippy::missing_safety_doc)] // the uniform contract is in the module docs above
 
 use std::arch::x86_64::*;
 
-/// Load four `u64` lanes from the head of `p`.
+/// Load the first four 64-bit lanes of `p`.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn load_u64x4(p: &[u64]) -> __m256i {
-    debug_assert!(p.len() >= 4);
-    // semloc-lint: allow(unsafe-audit): unaligned 32-byte read from a slice asserted to hold >= 4 u64 lanes
+fn load4<T: Copy>(p: &[T]) -> __m256i {
+    const { assert!(size_of::<T>() == 8) };
+    assert!(p.len() >= 4);
+    // semloc-lint: allow(unsafe-audit): unaligned 32-byte read from a slice just asserted to hold >= 4 lanes of 8 bytes
     unsafe { _mm256_loadu_si256(p.as_ptr() as *const __m256i) }
-}
-
-/// Store four `u64` lanes to the head of `p`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn store_u64x4(p: &mut [u64], v: __m256i) {
-    debug_assert!(p.len() >= 4);
-    // semloc-lint: allow(unsafe-audit): unaligned 32-byte write into a slice asserted to hold >= 4 u64 lanes
-    unsafe { _mm256_storeu_si256(p.as_mut_ptr() as *mut __m256i, v) }
-}
-
-/// Load 32 bytes (sixteen `i16` / thirty-two `i8` / eight `u32` lanes).
-#[inline]
-#[target_feature(enable = "avx2")]
-fn load_bytes32(p: *const u8, len_ok: bool) -> __m256i {
-    debug_assert!(len_ok);
-    // semloc-lint: allow(unsafe-audit): unaligned 32-byte read; every caller passes a pointer with >= 32 readable bytes (checked by its `len_ok` bound)
-    unsafe { _mm256_loadu_si256(p as *const __m256i) }
-}
-
-/// Full 64-bit lane-wise wrapping multiply from `vpmuludq` halves.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn mul64(a: __m256i, b: __m256i) -> __m256i {
-    let a_hi = _mm256_srli_epi64(a, 32);
-    let b_hi = _mm256_srli_epi64(b, 32);
-    let lolo = _mm256_mul_epu32(a, b);
-    let lohi = _mm256_mul_epu32(a, b_hi);
-    let hilo = _mm256_mul_epu32(a_hi, b);
-    let cross = _mm256_add_epi64(lohi, hilo);
-    _mm256_add_epi64(lolo, _mm256_slli_epi64(cross, 32))
-}
-
-/// SplitMix64 finalizer on all four lanes.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn splitmix4(mut x: __m256i) -> __m256i {
-    let k1 = _mm256_set1_epi64x(0xbf58_476d_1ce4_e5b9_u64 as i64);
-    let k2 = _mm256_set1_epi64x(0x94d0_49bb_1331_11eb_u64 as i64);
-    x = mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), k1);
-    x = mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), k2);
-    _mm256_xor_si256(x, _mm256_srli_epi64(x, 31))
-}
-
-/// See [`crate::scalar::mix8`].
-#[target_feature(enable = "avx2")]
-pub fn mix8(x: &mut [u64; 8]) {
-    let lo = splitmix4(load_u64x4(&x[..4]));
-    let hi = splitmix4(load_u64x4(&x[4..]));
-    store_u64x4(&mut x[..4], lo);
-    store_u64x4(&mut x[4..], hi);
-}
-
-/// See [`crate::scalar::find_i16`].
-#[target_feature(enable = "avx2")]
-pub fn find_i16(hay: &[i16], needle: i16) -> Option<usize> {
-    let splat = _mm256_set1_epi16(needle);
-    let mut i = 0;
-    while i + 16 <= hay.len() {
-        let v = load_bytes32(hay[i..].as_ptr() as *const u8, hay.len() - i >= 16);
-        let m = _mm256_movemask_epi8(_mm256_cmpeq_epi16(v, splat)) as u32;
-        if m != 0 {
-            return Some(i + m.trailing_zeros() as usize / 2);
-        }
-        i += 16;
-    }
-    let rem = hay.len() - i;
-    if rem > 0 {
-        let mut buf = [needle.wrapping_add(1); 16];
-        buf[..rem].copy_from_slice(&hay[i..]);
-        let v = load_bytes32(buf.as_ptr() as *const u8, true);
-        let m = _mm256_movemask_epi8(_mm256_cmpeq_epi16(v, splat)) as u32;
-        if m != 0 {
-            return Some(i + m.trailing_zeros() as usize / 2);
-        }
-    }
-    None
-}
-
-/// See [`crate::scalar::find_u64`].
-#[target_feature(enable = "avx2")]
-pub fn find_u64(hay: &[u64], needle: u64) -> Option<usize> {
-    let splat = _mm256_set1_epi64x(needle as i64);
-    let mut i = 0;
-    while i + 4 <= hay.len() {
-        let eq = _mm256_cmpeq_epi64(load_u64x4(&hay[i..]), splat);
-        let m = _mm256_movemask_epi8(eq) as u32;
-        if m != 0 {
-            return Some(i + m.trailing_zeros() as usize / 8);
-        }
-        i += 4;
-    }
-    while i < hay.len() {
-        if hay[i] == needle {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// See [`crate::scalar::min_index_i8`]: `vpminsb` reduce, then first-index
-/// rescan of the winning value.
-#[target_feature(enable = "avx2")]
-pub fn min_index_i8(v: &[i8]) -> Option<usize> {
-    if v.is_empty() {
-        return None;
-    }
-    let chunk = |base: usize, pad: i8| -> __m256i {
-        if v.len() - base >= 32 {
-            load_bytes32(v[base..].as_ptr() as *const u8, true)
-        } else {
-            let mut buf = [pad; 32];
-            buf[..v.len() - base].copy_from_slice(&v[base..]);
-            load_bytes32(buf.as_ptr() as *const u8, true)
-        }
-    };
-    let mut acc = _mm256_set1_epi8(i8::MAX);
-    let mut i = 0;
-    while i < v.len() {
-        acc = _mm256_min_epi8(acc, chunk(i, i8::MAX));
-        i += 32;
-    }
-    let mut lane = _mm_min_epi8(
-        _mm256_castsi256_si128(acc),
-        _mm256_extracti128_si256::<1>(acc),
-    );
-    lane = _mm_min_epi8(lane, _mm_srli_si128::<8>(lane));
-    lane = _mm_min_epi8(lane, _mm_srli_si128::<4>(lane));
-    lane = _mm_min_epi8(lane, _mm_srli_si128::<2>(lane));
-    lane = _mm_min_epi8(lane, _mm_srli_si128::<1>(lane));
-    let min_raw = (_mm_cvtsi128_si32(lane) & 0xff) as u8 as i8;
-    let splat = _mm256_set1_epi8(min_raw);
-    let mut i = 0;
-    while i < v.len() {
-        let lanes = (v.len() - i).min(32);
-        let mask = if lanes == 32 {
-            u32::MAX
-        } else {
-            (1u32 << lanes) - 1
-        };
-        let m = _mm256_movemask_epi8(_mm256_cmpeq_epi8(chunk(i, min_raw.wrapping_add(1)), splat))
-            as u32
-            & mask;
-        if m != 0 {
-            return Some(i + m.trailing_zeros() as usize);
-        }
-        i += 32;
-    }
-    unreachable!("the minimum of a non-empty slice is present in it")
-}
-
-/// See [`crate::scalar::max_index_last_i8`]: the **last** maximum.
-#[target_feature(enable = "avx2")]
-pub fn max_index_last_i8(v: &[i8]) -> Option<usize> {
-    if v.is_empty() {
-        return None;
-    }
-    let chunk = |base: usize, pad: i8| -> __m256i {
-        if v.len() - base >= 32 {
-            load_bytes32(v[base..].as_ptr() as *const u8, true)
-        } else {
-            let mut buf = [pad; 32];
-            buf[..v.len() - base].copy_from_slice(&v[base..]);
-            load_bytes32(buf.as_ptr() as *const u8, true)
-        }
-    };
-    let mut acc = _mm256_set1_epi8(i8::MIN);
-    let mut i = 0;
-    while i < v.len() {
-        acc = _mm256_max_epi8(acc, chunk(i, i8::MIN));
-        i += 32;
-    }
-    let mut lane = _mm_max_epi8(
-        _mm256_castsi256_si128(acc),
-        _mm256_extracti128_si256::<1>(acc),
-    );
-    lane = _mm_max_epi8(lane, _mm_srli_si128::<8>(lane));
-    lane = _mm_max_epi8(lane, _mm_srli_si128::<4>(lane));
-    lane = _mm_max_epi8(lane, _mm_srli_si128::<2>(lane));
-    lane = _mm_max_epi8(lane, _mm_srli_si128::<1>(lane));
-    let max_raw = (_mm_cvtsi128_si32(lane) & 0xff) as u8 as i8;
-    let splat = _mm256_set1_epi8(max_raw);
-    let mut base = (v.len() - 1) / 32 * 32;
-    loop {
-        let lanes = (v.len() - base).min(32);
-        let mask = if lanes == 32 {
-            u32::MAX
-        } else {
-            (1u32 << lanes) - 1
-        };
-        let m = _mm256_movemask_epi8(_mm256_cmpeq_epi8(
-            chunk(base, max_raw.wrapping_add(1)),
-            splat,
-        )) as u32
-            & mask;
-        if m != 0 {
-            return Some(base + (31 - m.leading_zeros()) as usize);
-        }
-        if base == 0 {
-            unreachable!("the maximum of a non-empty slice is present in it");
-        }
-        base -= 32;
-    }
-}
-
-/// See [`crate::scalar::min_index_u32`]: `vpminud` reduce + first-index
-/// rescan.
-#[target_feature(enable = "avx2")]
-pub fn min_index_u32(v: &[u32]) -> Option<usize> {
-    if v.is_empty() {
-        return None;
-    }
-    let chunk = |base: usize, pad: u32| -> __m256i {
-        if v.len() - base >= 8 {
-            load_bytes32(v[base..].as_ptr() as *const u8, true)
-        } else {
-            let mut buf = [pad; 8];
-            buf[..v.len() - base].copy_from_slice(&v[base..]);
-            load_bytes32(buf.as_ptr() as *const u8, true)
-        }
-    };
-    let mut acc = _mm256_set1_epi32(u32::MAX as i32);
-    let mut i = 0;
-    while i < v.len() {
-        acc = _mm256_min_epu32(acc, chunk(i, u32::MAX));
-        i += 8;
-    }
-    let mut lane = _mm_min_epu32(
-        _mm256_castsi256_si128(acc),
-        _mm256_extracti128_si256::<1>(acc),
-    );
-    lane = _mm_min_epu32(lane, _mm_srli_si128::<8>(lane));
-    lane = _mm_min_epu32(lane, _mm_srli_si128::<4>(lane));
-    let min = _mm_cvtsi128_si32(lane) as u32;
-    let splat = _mm256_set1_epi32(min as i32);
-    let mut i = 0;
-    while i < v.len() {
-        let lanes = (v.len() - i).min(8);
-        let m = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(
-            chunk(i, min.wrapping_add(1)),
-            splat,
-        ))) as u32
-            & ((1u32 << lanes) - 1);
-        if m != 0 {
-            return Some(i + m.trailing_zeros() as usize);
-        }
-        i += 8;
-    }
-    unreachable!("the minimum of a non-empty slice is present in it")
 }
 
 /// See [`crate::scalar::find_valid_tag`].
@@ -285,7 +32,7 @@ pub fn find_valid_tag(tags: &[u64], valid: &[bool], needle: u64) -> Option<usize
     let splat = _mm256_set1_epi64x(needle as i64);
     let mut i = 0;
     while i + 4 <= tags.len() {
-        let eq = _mm256_cmpeq_epi64(load_u64x4(&tags[i..]), splat);
+        let eq = _mm256_cmpeq_epi64(load4(&tags[i..]), splat);
         let mut m = _mm256_movemask_epi8(eq) as u32;
         while m != 0 {
             let lane = m.trailing_zeros() as usize / 8;
@@ -296,86 +43,7 @@ pub fn find_valid_tag(tags: &[u64], valid: &[bool], needle: u64) -> Option<usize
         }
         i += 4;
     }
-    while i < tags.len() {
-        if valid[i] && tags[i] == needle {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// See [`crate::scalar::victim_way`]. The SIMD part computes every way's
-/// LRU key (`0` if invalid, else `lru + 1`) four ways at a time; the final
-/// first-min scan over at most `ways` keys runs scalar.
-#[target_feature(enable = "avx2")]
-pub fn victim_way(valid: &[bool], lru: &[u64]) -> Option<usize> {
-    const MAX_WAYS: usize = 64;
-    let n = valid.len();
-    if n == 0 {
-        return None;
-    }
-    if n > MAX_WAYS {
-        return crate::scalar::victim_way(valid, lru);
-    }
-    let one = _mm256_set1_epi64x(1);
-    let zero = _mm256_setzero_si256();
-    let mut keys = [u64::MAX; MAX_WAYS];
-    let mut i = 0;
-    while i + 4 <= n {
-        // Widen the four valid bytes (0/1) to 64-bit lanes.
-        let vb = _mm_set_epi32(
-            0,
-            0,
-            0,
-            i32::from_le_bytes([
-                valid[i] as u8,
-                valid[i + 1] as u8,
-                valid[i + 2] as u8,
-                valid[i + 3] as u8,
-            ]),
-        );
-        let v64 = _mm256_cvtepu8_epi64(vb);
-        let invalid = _mm256_cmpeq_epi64(v64, zero);
-        let lrup1 = _mm256_add_epi64(load_u64x4(&lru[i..]), one);
-        store_u64x4(&mut keys[i..], _mm256_andnot_si256(invalid, lrup1));
-        i += 4;
-    }
-    while i < n {
-        keys[i] = if valid[i] { lru[i].wrapping_add(1) } else { 0 };
-        i += 1;
-    }
-    let mut best = 0usize;
-    for (j, &k) in keys[..n].iter().enumerate() {
-        if k < keys[best] {
-            best = j;
-        }
-    }
-    Some(best)
-}
-
-/// See [`crate::scalar::gather_i32`]: clamp indices with `vpminud`, then a
-/// single `vpgatherdd` per eight lanes.
-#[target_feature(enable = "avx2")]
-pub fn gather_i32(table: &[i32], idxs: &[u32], out: &mut [i32]) {
-    assert!(!table.is_empty());
-    assert!(out.len() >= idxs.len());
-    let last = _mm256_set1_epi32((table.len() - 1) as i32);
-    let mut i = 0;
-    while i + 8 <= idxs.len() {
-        let raw = load_bytes32(idxs[i..].as_ptr() as *const u8, idxs.len() - i >= 8);
-        let clamped = _mm256_min_epu32(raw, last);
-        // semloc-lint: allow(unsafe-audit): every index lane was clamped to table.len()-1 above, so the gather reads in bounds
-        let got = unsafe { _mm256_i32gather_epi32::<4>(table.as_ptr(), clamped) };
-        // semloc-lint: allow(unsafe-audit): unaligned 32-byte write; out.len() >= idxs.len() is asserted and i + 8 <= idxs.len() holds here
-        unsafe { _mm256_storeu_si256(out[i..].as_mut_ptr() as *mut __m256i, got) };
-        i += 8;
-    }
-    let lastu = table.len() - 1;
-    while i < idxs.len() {
-        out[i] = table[(idxs[i] as usize).min(lastu)];
-        i += 1;
-    }
+    (i..tags.len()).find(|&j| valid[j] && tags[j] == needle)
 }
 
 /// See [`crate::scalar::find_pair_i64`]: four candidate positions per
@@ -387,25 +55,15 @@ pub fn find_pair_i64(deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
     }
     let s1 = _mm256_set1_epi64x(d1);
     let s2 = _mm256_set1_epi64x(d2);
-    let cast = |v: &[i64]| -> &[u64] {
-        // semloc-lint: allow(unsafe-audit): i64 and u64 have identical size, alignment and validity; length is preserved
-        unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u64, v.len()) }
-    };
     let mut i = 1;
     while i + 5 <= deltas.len() {
-        let eq1 = _mm256_cmpeq_epi64(load_u64x4(cast(&deltas[i..])), s1);
-        let eq2 = _mm256_cmpeq_epi64(load_u64x4(cast(&deltas[i + 1..])), s2);
+        let eq1 = _mm256_cmpeq_epi64(load4(&deltas[i..]), s1);
+        let eq2 = _mm256_cmpeq_epi64(load4(&deltas[i + 1..]), s2);
         let m = _mm256_movemask_epi8(_mm256_and_si256(eq1, eq2)) as u32;
         if m != 0 {
             return Some(i + m.trailing_zeros() as usize / 8);
         }
         i += 4;
     }
-    while i + 1 < deltas.len() {
-        if deltas[i] == d1 && deltas[i + 1] == d2 {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
+    (i..deltas.len() - 1).find(|&j| deltas[j] == d1 && deltas[j + 1] == d2)
 }

@@ -1,34 +1,28 @@
-//! Runtime-dispatched SIMD kernels for the simulator's measured hot paths.
+//! Runtime-dispatched SIMD kernels for the two simulator scans that are
+//! long enough to pay for a vector call:
 //!
-//! Four kernel families back the structures that dominate many-cell runs:
+//! * [`find_valid_tag`] — the cache tag probe over a set-major SoA array
+//!   (the 16-way L2 of Table 2);
+//! * [`find_pair_i64`] — the GHB delta-correlation pair scan over chains of
+//!   up to 64 deltas.
 //!
-//! * **hash mixing** — [`mix8`], the SplitMix64 finalizer applied to the 8
-//!   per-attribute lanes of a `FeatureVec` extraction;
-//! * **scored-set scans** — [`find_i16`], [`find_u64`], [`min_index_i8`],
-//!   [`max_index_last_i8`], [`min_index_u32`]: the CST link search,
-//!   victim-select and best-candidate reductions;
-//! * **cache tag probes** — [`find_valid_tag`] and [`victim_way`] over a
-//!   set-major SoA cache array;
-//! * **reward gathers** — [`gather_i32`], batch evaluation of the
-//!   precomputed bell-reward table, plus [`find_pair_i64`], the GHB
-//!   delta-correlation pair scan.
+//! Every other scan the simulator runs (4-link CST entries, 8-way L1 sets,
+//! victim selection, hash mixing, reward lookups) stays below the
+//! scalar→SIMD crossover at the paper's widths and is a plain loop in its
+//! caller.
 //!
-//! Every kernel has four implementations — portable scalar, SSE2, AVX2
-//! and AVX-512 — selected once per process by [`tier`]: the `SEMLOC_ACCEL`
-//! environment variable (`scalar`, `sse2`, `avx2`, `avx512` or `auto`, the
-//! default) names the *requested* tier, which is then capped at what
-//! `is_x86_feature_detected!` reports, so a binary built on one machine
-//! never faults on another. All four paths are **bit-identical** for every
-//! input (tie-breaks included: first-minimum, last-maximum, first-match —
-//! matching the `Iterator::min_by_key`/`max_by_key` conventions of the
-//! structures they replace); the equivalence property suites in
-//! `tests/equivalence.rs` pin this, and the golden-digest CI job runs the
-//! full harness under `scalar`, `auto` and the parallel shard pool
-//! asserting one digest.
+//! Each kernel has two implementations — portable scalar and AVX2 —
+//! selected once per process by [`tier`]: the `SEMLOC_ACCEL` environment
+//! variable (`scalar`, `avx2` or `auto`, the default) names the tier, and
+//! requesting one the host cannot run panics at startup, so a pinned tier
+//! always means what it says. Both paths are **bit-identical** for every
+//! input (first-match tie-break); the property suite in
+//! `tests/equivalence.rs` pins this, and the golden-digest CI job runs the
+//! full harness under `scalar`, `avx2` and `auto` asserting one digest.
 //!
-//! The per-tier entry points ([`mix8_with`] and friends) are public so
-//! tests and benchmarks can compare tiers directly; production callers use
-//! the auto-dispatched forms.
+//! The per-tier entry points ([`find_valid_tag_with`],
+//! [`find_pair_i64_with`]) are public so tests and benchmarks can compare
+//! tiers directly; production callers use the auto-dispatched forms.
 
 // Mirror of semloc-lint rule D3 (no-unwrap); D1/D2 are mirrored via clippy.toml.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -39,35 +33,23 @@ pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
-#[cfg(target_arch = "x86_64")]
-pub mod avx512;
-#[cfg(target_arch = "x86_64")]
-pub mod sse2;
 
-/// One implementation tier. Ordered: later tiers require strictly more CPU
-/// features.
+/// One implementation tier. Ordered: the later tier requires strictly more
+/// CPU features.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
     /// Portable scalar Rust — always available, the reference semantics.
     Scalar,
-    /// 128-bit SSE2 (baseline on x86_64).
-    Sse2,
     /// 256-bit AVX2.
     Avx2,
-    /// 512-bit AVX-512 (requires the F+BW+DQ+VL subset).
-    Avx512,
 }
 
 impl Tier {
-    /// Parse a `SEMLOC_ACCEL` value. `auto` (and unset) request the best
-    /// supported tier.
-    fn from_env(v: &str) -> Option<Tier> {
-        match v {
-            "scalar" => Some(Tier::Scalar),
-            "sse2" => Some(Tier::Sse2),
-            "avx2" => Some(Tier::Avx2),
-            "avx512" => Some(Tier::Avx512),
-            _ => None,
+    /// The `SEMLOC_ACCEL` spelling of this tier.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2",
         }
     }
 }
@@ -77,296 +59,105 @@ pub fn supported(t: Tier) -> bool {
     match t {
         Tier::Scalar => true,
         #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 => true, // SSE2 is architectural baseline on x86_64
-        #[cfg(target_arch = "x86_64")]
         Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-        }
         #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
+        Tier::Avx2 => false,
     }
 }
 
 /// The best tier this host supports.
 pub fn best_supported() -> Tier {
-    if supported(Tier::Avx512) {
-        Tier::Avx512
-    } else if supported(Tier::Avx2) {
+    if supported(Tier::Avx2) {
         Tier::Avx2
-    } else if supported(Tier::Sse2) {
-        Tier::Sse2
     } else {
         Tier::Scalar
     }
 }
 
-fn resolve_tier() -> Tier {
-    let requested = match std::env::var("SEMLOC_ACCEL") {
-        Ok(v) if !v.is_empty() => match Tier::from_env(&v) {
-            Some(t) => t,
-            None if v == "auto" => best_supported(),
-            None => panic!("SEMLOC_ACCEL={v:?}: expected scalar|sse2|avx2|avx512|auto"),
-        },
-        _ => best_supported(),
-    };
-    // Cap the request at what the CPU offers: a tier is a performance
-    // choice, never a correctness one, so degrading silently is safe (all
-    // tiers are bit-identical) and keeps one binary portable.
-    if supported(requested) {
-        requested
-    } else {
-        best_supported().min(requested)
+/// The tier a `SEMLOC_ACCEL` value selects on a host whose best tier is
+/// `best`: unset, empty and `auto` pick `best`; `scalar` and `avx2` pick
+/// themselves if the host can run them. Anything else — a typo, a retired
+/// tier, a tier above `best` — is an error naming the variable, the value
+/// and the host's best tier.
+fn tier_from(value: Option<&str>, best: Tier) -> Result<Tier, String> {
+    match value {
+        None | Some("" | "auto") => Ok(best),
+        Some("scalar") => Ok(Tier::Scalar),
+        Some("avx2") if best == Tier::Avx2 => Ok(Tier::Avx2),
+        Some(v) => Err(format!(
+            "SEMLOC_ACCEL={v:?}: expected scalar|avx2|auto, at most this host's best tier {}",
+            best.name()
+        )),
     }
 }
 
 /// The process-wide dispatch tier (resolved once from `SEMLOC_ACCEL` and
 /// CPU feature detection).
+///
+/// # Panics
+///
+/// When `SEMLOC_ACCEL` names a tier this host cannot run or is not one of
+/// `scalar|avx2|auto`; the message names the variable, its value and the
+/// host's best tier.
 pub fn tier() -> Tier {
     static TIER: OnceLock<Tier> = OnceLock::new();
-    *TIER.get_or_init(resolve_tier)
+    *TIER.get_or_init(|| {
+        let value = std::env::var("SEMLOC_ACCEL").ok();
+        match tier_from(value.as_deref(), best_supported()) {
+            Ok(t) => t,
+            Err(e) => panic!("{e}"),
+        }
+    })
 }
 
-/// Default minimum input length (lanes) at which an auto-dispatched
-/// wrapper hands a scan to the SIMD tiers.
+/// Minimum input length (lanes) at which an auto-dispatched wrapper hands
+/// a scan to the resolved [`tier`].
 ///
 /// `#[target_feature]` functions cannot be inlined into callers compiled
 /// without that feature, so every SIMD call pays an outlined call plus
 /// vector setup (~a dozen ns). A branchy scalar loop over a handful of
-/// elements beats that by a wide margin — measured on the simulator's own
-/// structures, routing an 8-way cache probe or a 4-link CST scan through
-/// the dispatcher *doubled* the end-to-end cost of a no-prefetch run.
-/// Below the crossover the wrappers therefore run the (inlinable) scalar
-/// kernel directly; at or above it, the resolved [`tier`] takes over. The
-/// explicit `*_with` entry points bypass the crossover — the equivalence
-/// suites use them to pin every tier bit-identical at every length, so
-/// the cutover is a pure performance choice, never a correctness one.
-///
-/// Where the trade flips differs per kernel, so each wrapper reads its
-/// own constant from [`crossover`]; this shared value is the default for
-/// kernels whose measured crossover matches the historical shared cut.
+/// elements beats that by a wide margin, so below the crossover the
+/// wrappers run the (inlinable) scalar kernel directly. `calibrate_crossover`
+/// (semloc-bench) measures the stable crossover of both kernels below 16
+/// lanes (`BENCH_crossover.json`); 16 keeps the paper-default 8-way L1
+/// probe and 8-deep GHB chains on the scalar loop while the 16-way L2
+/// probe and longer chains vectorize. The explicit `*_with` entry points bypass the crossover —
+/// the equivalence suite uses them to pin both tiers bit-identical at
+/// every length, so the cutover is a pure performance choice.
 pub const SIMD_CROSSOVER_LANES: usize = 16;
-
-/// Per-kernel scalar→SIMD crossover lane counts.
-///
-/// Measured by the `calibrate_crossover` bench binary (semloc-bench):
-/// for each kernel it sweeps input lengths over needle-absent full scans
-/// and reports the smallest length from which the best supported tier
-/// never loses to the inlined scalar loop again. The committed values are
-/// that measurement rounded *up* to the next production shape (4/8-way
-/// probes, 16-entry queues, 48–64-lane tables), so hosts slightly slower
-/// at vector setup than the calibration box still never regress. Re-run
-/// the bench and compare its table against these when bringing up a new
-/// host class.
-pub mod crossover {
-    use super::SIMD_CROSSOVER_LANES;
-
-    /// [`crate::find_i16`] — CST link search. Measured stable at 8: the
-    /// 32-lane masked compare amortizes its setup over a single vector,
-    /// so only the paper-default 4-link scans stay scalar.
-    pub const FIND_I16: usize = 8;
-    /// [`crate::find_u64`] — scored-set tag scan. Measured stable at 6,
-    /// committed at the 8-lane production shape.
-    pub const FIND_U64: usize = 8;
-    /// [`crate::min_index_i8`] — victim-select reduction. Measured stable
-    /// at 16 (two passes — reduce then rescan — need more lanes to pay
-    /// off than a single-pass scan).
-    pub const MIN_INDEX_I8: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::max_index_last_i8`] — best-candidate reduction. Measured
-    /// stable at 6, committed at the 8-lane production shape.
-    pub const MAX_INDEX_LAST_I8: usize = 8;
-    /// [`crate::min_index_u32`] — LRU-style minimum scan. Measured stable
-    /// at 12, committed at 16 (also two-pass).
-    pub const MIN_INDEX_U32: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::find_valid_tag`] — cache tag probe. Measured stable at
-    /// 12, committed at 16 so paper-default 8-way probes keep the inlined
-    /// scalar loop.
-    pub const FIND_VALID_TAG: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::gather_i32`] — reward-table batch gather. Measured stable
-    /// at 16 (`vpgatherdd` issues one load µop per lane, so small batches
-    /// gain nothing over the scalar loop).
-    pub const GATHER_I32: usize = SIMD_CROSSOVER_LANES;
-    /// [`crate::find_pair_i64`] — GHB delta-correlation pair scan.
-    /// Measured stable at 12, committed at 16: chains at the paper's
-    /// 8-deep history stay scalar, sweep-widened chains vectorize.
-    pub const FIND_PAIR_I64: usize = SIMD_CROSSOVER_LANES;
-}
 
 macro_rules! dispatch {
     ($t:expr, $f:ident ( $($arg:expr),* )) => {{
         match $t {
             #[cfg(target_arch = "x86_64")]
-            // semloc-lint: allow(unsafe-audit): tier() / `supported` guarantee the AVX-512 F+BW+DQ+VL bundle was detected before this path is taken
-            Tier::Avx512 => unsafe { avx512::$f($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            // semloc-lint: allow(unsafe-audit): tier() / `supported` guarantee AVX2 was detected before this path is taken
+            // semloc-lint: allow(unsafe-audit): callers pass tier() or a tier checked by `supported`, so AVX2 was detected before this path is taken
             Tier::Avx2 => unsafe { avx2::$f($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            // semloc-lint: allow(unsafe-audit): SSE2 is the x86_64 architectural baseline, always executable
-            Tier::Sse2 => unsafe { sse2::$f($($arg),*) },
-            #[allow(unreachable_patterns)] // non-x86_64 builds fold every tier to scalar
             _ => scalar::$f($($arg),*),
         }
     }};
-}
-
-/// Apply the SplitMix64 finalizer to all 8 lanes in place.
-///
-/// Always runs the scalar kernel: pre-AVX512DQ x86 has no packed 64-bit
-/// multiply, so the AVX2 tier synthesizes each of SplitMix64's multiplies
-/// from three `vpmuludq`s — measurably slower than eight native `imul`s at
-/// this fixed width (~0.4x in `bench_accel`). [`mix8_with`] still reaches
-/// the vector tiers for equivalence testing.
-#[inline]
-pub fn mix8(x: &mut [u64; 8]) {
-    scalar::mix8(x)
-}
-
-/// [`mix8`] at an explicit tier (caller must check [`supported`]).
-#[inline]
-pub fn mix8_with(t: Tier, x: &mut [u64; 8]) {
-    dispatch!(t, mix8(x))
-}
-
-/// Index of the first element equal to `needle`.
-#[inline]
-pub fn find_i16(hay: &[i16], needle: i16) -> Option<usize> {
-    if hay.len() < crossover::FIND_I16 {
-        return scalar::find_i16(hay, needle);
-    }
-    find_i16_with(tier(), hay, needle)
-}
-
-/// [`find_i16`] at an explicit tier.
-#[inline]
-pub fn find_i16_with(t: Tier, hay: &[i16], needle: i16) -> Option<usize> {
-    dispatch!(t, find_i16(hay, needle))
-}
-
-/// Index of the first element equal to `needle`.
-#[inline]
-pub fn find_u64(hay: &[u64], needle: u64) -> Option<usize> {
-    if hay.len() < crossover::FIND_U64 {
-        return scalar::find_u64(hay, needle);
-    }
-    find_u64_with(tier(), hay, needle)
-}
-
-/// [`find_u64`] at an explicit tier.
-#[inline]
-pub fn find_u64_with(t: Tier, hay: &[u64], needle: u64) -> Option<usize> {
-    dispatch!(t, find_u64(hay, needle))
-}
-
-/// Index of the first minimum (the `min_by_key` tie-break).
-#[inline]
-pub fn min_index_i8(v: &[i8]) -> Option<usize> {
-    if v.len() < crossover::MIN_INDEX_I8 {
-        return scalar::min_index_i8(v);
-    }
-    min_index_i8_with(tier(), v)
-}
-
-/// [`min_index_i8`] at an explicit tier.
-#[inline]
-pub fn min_index_i8_with(t: Tier, v: &[i8]) -> Option<usize> {
-    dispatch!(t, min_index_i8(v))
-}
-
-/// Index of the **last** maximum (the `max_by_key` tie-break).
-#[inline]
-pub fn max_index_last_i8(v: &[i8]) -> Option<usize> {
-    if v.len() < crossover::MAX_INDEX_LAST_I8 {
-        return scalar::max_index_last_i8(v);
-    }
-    max_index_last_i8_with(tier(), v)
-}
-
-/// [`max_index_last_i8`] at an explicit tier.
-#[inline]
-pub fn max_index_last_i8_with(t: Tier, v: &[i8]) -> Option<usize> {
-    dispatch!(t, max_index_last_i8(v))
-}
-
-/// Index of the first minimum (the `min_by_key` tie-break).
-#[inline]
-pub fn min_index_u32(v: &[u32]) -> Option<usize> {
-    if v.len() < crossover::MIN_INDEX_U32 {
-        return scalar::min_index_u32(v);
-    }
-    min_index_u32_with(tier(), v)
-}
-
-/// [`min_index_u32`] at an explicit tier.
-#[inline]
-pub fn min_index_u32_with(t: Tier, v: &[u32]) -> Option<usize> {
-    dispatch!(t, min_index_u32(v))
 }
 
 /// Index of the first way with `valid[i] && tags[i] == needle`.
 /// `tags` and `valid` must have equal lengths.
 #[inline]
 pub fn find_valid_tag(tags: &[u64], valid: &[bool], needle: u64) -> Option<usize> {
-    if tags.len() < crossover::FIND_VALID_TAG {
-        assert_eq!(tags.len(), valid.len(), "tag/valid arrays must pair up");
+    assert_eq!(tags.len(), valid.len(), "tag/valid arrays must pair up");
+    if tags.len() < SIMD_CROSSOVER_LANES {
         return scalar::find_valid_tag(tags, valid, needle);
     }
-    find_valid_tag_with(tier(), tags, valid, needle)
+    dispatch!(tier(), find_valid_tag(tags, valid, needle))
 }
 
 /// [`find_valid_tag`] at an explicit tier.
+///
+/// # Panics
+///
+/// When this host cannot run `t`.
 #[inline]
 pub fn find_valid_tag_with(t: Tier, tags: &[u64], valid: &[bool], needle: u64) -> Option<usize> {
+    assert!(supported(t), "tier {} is not supported here", t.name());
     assert_eq!(tags.len(), valid.len(), "tag/valid arrays must pair up");
     dispatch!(t, find_valid_tag(tags, valid, needle))
-}
-
-/// Replacement victim: index of the first way minimizing the LRU key
-/// `if valid { lru + 1 } else { 0 }` (invalid ways always win; ties go to
-/// the first way, matching `min_by_key`).
-///
-/// Always runs the scalar kernel: the AVX2 tier must materialize a key
-/// scratch array before its first-minimum rescan, and that setup loses to
-/// the branchy scalar loop even at 64 ways (~0.7x in `bench_accel`).
-/// [`victim_way_with`] still reaches the vector tiers for equivalence
-/// testing.
-#[inline]
-pub fn victim_way(valid: &[bool], lru: &[u64]) -> Option<usize> {
-    assert_eq!(valid.len(), lru.len(), "valid/lru arrays must pair up");
-    scalar::victim_way(valid, lru)
-}
-
-/// [`victim_way`] at an explicit tier.
-#[inline]
-pub fn victim_way_with(t: Tier, valid: &[bool], lru: &[u64]) -> Option<usize> {
-    assert_eq!(valid.len(), lru.len(), "valid/lru arrays must pair up");
-    dispatch!(t, victim_way(valid, lru))
-}
-
-/// Gather `out[i] = table[min(idxs[i], table.len() - 1)]` — batch lookup of
-/// a precomputed reward table whose final entry covers the whole
-/// beyond-range tail. `table` must be non-empty and `out` at least as long
-/// as `idxs`.
-#[inline]
-pub fn gather_i32(table: &[i32], idxs: &[u32], out: &mut [i32]) {
-    if idxs.len() < crossover::GATHER_I32 {
-        assert!(!table.is_empty(), "gather table must be non-empty");
-        assert!(out.len() >= idxs.len(), "gather output too short");
-        return scalar::gather_i32(table, idxs, out);
-    }
-    gather_i32_with(tier(), table, idxs, out)
-}
-
-/// [`gather_i32`] at an explicit tier.
-#[inline]
-pub fn gather_i32_with(t: Tier, table: &[i32], idxs: &[u32], out: &mut [i32]) {
-    assert!(!table.is_empty(), "gather table must be non-empty");
-    assert!(out.len() >= idxs.len(), "gather output too short");
-    dispatch!(t, gather_i32(table, idxs, out))
 }
 
 /// First `i` in `1..deltas.len()-1` with `deltas[i] == d1 &&
@@ -374,22 +165,27 @@ pub fn gather_i32_with(t: Tier, table: &[i32], idxs: &[u32], out: &mut [i32]) {
 /// at 1 because index 0 is the pair being correlated).
 #[inline]
 pub fn find_pair_i64(deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
-    if deltas.len() < crossover::FIND_PAIR_I64 {
+    if deltas.len() < SIMD_CROSSOVER_LANES {
         return scalar::find_pair_i64(deltas, d1, d2);
     }
-    find_pair_i64_with(tier(), deltas, d1, d2)
+    dispatch!(tier(), find_pair_i64(deltas, d1, d2))
 }
 
 /// [`find_pair_i64`] at an explicit tier.
+///
+/// # Panics
+///
+/// When this host cannot run `t`.
 #[inline]
 pub fn find_pair_i64_with(t: Tier, deltas: &[i64], d1: i64, d2: i64) -> Option<usize> {
+    assert!(supported(t), "tier {} is not supported here", t.name());
     dispatch!(t, find_pair_i64(deltas, d1, d2))
 }
 
 /// Every tier this host can run, scalar first (test helper: equivalence
 /// suites iterate it).
 pub fn available_tiers() -> Vec<Tier> {
-    [Tier::Scalar, Tier::Sse2, Tier::Avx2, Tier::Avx512]
+    [Tier::Scalar, Tier::Avx2]
         .into_iter()
         .filter(|&t| supported(t))
         .collect()
@@ -412,29 +208,46 @@ mod tests {
     }
 
     #[test]
-    fn env_parse_accepts_the_documented_values() {
-        assert_eq!(Tier::from_env("scalar"), Some(Tier::Scalar));
-        assert_eq!(Tier::from_env("sse2"), Some(Tier::Sse2));
-        assert_eq!(Tier::from_env("avx2"), Some(Tier::Avx2));
-        assert_eq!(Tier::from_env("avx512"), Some(Tier::Avx512));
-        assert_eq!(Tier::from_env("auto"), None);
-        assert_eq!(Tier::from_env("neon"), None);
+    fn tier_knob_accepts_the_documented_values() {
+        for best in [Tier::Scalar, Tier::Avx2] {
+            for auto in [None, Some(""), Some("auto")] {
+                assert_eq!(tier_from(auto, best), Ok(best));
+            }
+            assert_eq!(tier_from(Some("scalar"), best), Ok(Tier::Scalar));
+        }
+        assert_eq!(tier_from(Some("avx2"), Tier::Avx2), Ok(Tier::Avx2));
     }
 
     #[test]
-    fn best_supported_is_ordered() {
-        assert!(best_supported() >= Tier::Scalar);
+    fn tier_knob_fails_loudly() {
+        // A tier the host cannot run, a retired tier, and typos all fail
+        // the same way: variable, value, accepted values, host's best tier.
+        let cases = [
+            ("avx2", Tier::Scalar),
+            ("sse2", Tier::Avx2),
+            ("avx512", Tier::Avx2),
+            ("AVX2", Tier::Avx2),
+            ("neon", Tier::Scalar),
+            (" auto", Tier::Avx2),
+        ];
+        for (bad, best) in cases {
+            let err = tier_from(Some(bad), best).expect_err(bad);
+            for want in [
+                format!("SEMLOC_ACCEL={bad:?}"),
+                "scalar|avx2|auto".into(),
+                format!("best tier {}", best.name()),
+            ] {
+                assert!(err.contains(&want), "{err:?} lacks {want:?}");
+            }
+        }
     }
 
     #[test]
     fn dispatched_forms_match_scalar_on_a_smoke_input() {
-        let mut a = [1u64, 2, 3, 4, 5, 6, 7, u64::MAX];
-        let mut b = a;
-        mix8(&mut a);
-        scalar::mix8(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(find_i16(&[3, -1, 7, -1], -1), Some(1));
-        assert_eq!(min_index_i8(&[4, -2, -2, 9]), Some(1));
-        assert_eq!(max_index_last_i8(&[4, 9, 9, -2]), Some(2));
+        let tags: Vec<u64> = (0..20).map(|i| i % 5).collect();
+        let valid: Vec<bool> = (0..20).map(|i| i != 3).collect();
+        assert_eq!(find_valid_tag(&tags, &valid, 3), Some(8));
+        let deltas: Vec<i64> = (0..20).map(|i| i % 4).collect();
+        assert_eq!(find_pair_i64(&deltas, 0, 1), Some(4));
     }
 }

@@ -1,114 +1,10 @@
-//! Portable reference implementations — the semantic contract every SIMD
-//! tier must reproduce bit-for-bit, including tie-breaks: first match,
-//! first minimum, last maximum (the `Iterator::min_by_key`/`max_by_key`
-//! conventions of the scans these kernels replace).
-
-/// SplitMix64 finalizer (the `mix` of `semloc_context::attrs`).
-#[inline]
-pub(crate) fn splitmix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Apply the SplitMix64 finalizer to each lane.
-#[inline]
-pub fn mix8(x: &mut [u64; 8]) {
-    for v in x.iter_mut() {
-        *v = splitmix(*v);
-    }
-}
-
-/// First index equal to `needle`.
-#[inline]
-pub fn find_i16(hay: &[i16], needle: i16) -> Option<usize> {
-    hay.iter().position(|&a| a == needle)
-}
-
-/// First index equal to `needle`.
-#[inline]
-pub fn find_u64(hay: &[u64], needle: u64) -> Option<usize> {
-    hay.iter().position(|&a| a == needle)
-}
-
-/// First index of the minimum.
-#[inline]
-pub fn min_index_i8(v: &[i8]) -> Option<usize> {
-    let mut best: Option<(usize, i8)> = None;
-    for (i, &x) in v.iter().enumerate() {
-        match best {
-            Some((_, b)) if b <= x => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Last index of the maximum.
-#[inline]
-pub fn max_index_last_i8(v: &[i8]) -> Option<usize> {
-    let mut best: Option<(usize, i8)> = None;
-    for (i, &x) in v.iter().enumerate() {
-        match best {
-            Some((_, b)) if b > x => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// First index of the minimum.
-#[inline]
-pub fn min_index_u32(v: &[u32]) -> Option<usize> {
-    let mut best: Option<(usize, u32)> = None;
-    for (i, &x) in v.iter().enumerate() {
-        match best {
-            Some((_, b)) if b <= x => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
+//! Portable reference implementations — the semantic contract the AVX2
+//! tier must reproduce bit-for-bit, including the first-match tie-break.
 
 /// First way with `valid[i] && tags[i] == needle`.
 #[inline]
 pub fn find_valid_tag(tags: &[u64], valid: &[bool], needle: u64) -> Option<usize> {
     (0..tags.len()).find(|&i| valid[i] && tags[i] == needle)
-}
-
-/// The LRU key of a way: invalid ways are free (key 0) and always beat
-/// valid ones, whose key is `lru + 1` (wrapping, so the contract is total
-/// over all of `u64` — real LRU ticks never reach the wrap).
-#[inline]
-pub(crate) fn lru_key(valid: bool, lru: u64) -> u64 {
-    if valid {
-        lru.wrapping_add(1)
-    } else {
-        0
-    }
-}
-
-/// First way minimizing [`lru_key`].
-#[inline]
-pub fn victim_way(valid: &[bool], lru: &[u64]) -> Option<usize> {
-    let mut best: Option<(usize, u64)> = None;
-    for i in 0..valid.len() {
-        let k = lru_key(valid[i], lru[i]);
-        match best {
-            Some((_, b)) if b <= k => {}
-            _ => best = Some((i, k)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// `out[i] = table[min(idxs[i], table.len() - 1)]`.
-#[inline]
-pub fn gather_i32(table: &[i32], idxs: &[u32], out: &mut [i32]) {
-    let last = table.len() - 1;
-    for (o, &idx) in out.iter_mut().zip(idxs) {
-        *o = table[(idx as usize).min(last)];
-    }
 }
 
 /// First `i` in `1..deltas.len()-1` with `deltas[i] == d1 && deltas[i+1] == d2`.
@@ -125,42 +21,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splitmix_matches_known_vector() {
-        // SplitMix64 finalizer of 0 with these constants is 0 (all-zero
-        // input stays zero under xor-shift-multiply), so probe non-zero.
-        assert_eq!(splitmix(0), 0);
-        let a = splitmix(1);
-        assert_ne!(a, 1);
-        assert_eq!(a, splitmix(1), "pure function");
-    }
-
-    #[test]
-    fn tie_breaks_match_iterator_conventions() {
-        let v = [3i8, -1, -1, 5];
-        assert_eq!(
-            min_index_i8(&v),
-            v.iter().enumerate().min_by_key(|&(_, s)| s).map(|(i, _)| i)
-        );
-        let w = [3i8, 5, 5, -1];
-        assert_eq!(
-            max_index_last_i8(&w),
-            w.iter().enumerate().max_by_key(|&(_, s)| s).map(|(i, _)| i)
-        );
-    }
-
-    #[test]
-    fn victim_prefers_first_invalid_then_first_lru_min() {
-        assert_eq!(victim_way(&[true, false, false], &[1, 9, 9]), Some(1));
-        assert_eq!(victim_way(&[true, true, true], &[5, 2, 2]), Some(1));
-        assert_eq!(victim_way(&[], &[]), None);
-    }
-
-    #[test]
-    fn gather_clamps_to_the_tail_entry() {
-        let table = [10, 20, 30, 0];
-        let mut out = [0i32; 5];
-        gather_i32(&table, &[0, 2, 3, 4, 1000], &mut out);
-        assert_eq!(out, [10, 30, 0, 0, 0]);
+    fn tag_probe_skips_invalid_ways() {
+        assert_eq!(find_valid_tag(&[7, 7, 7], &[false, true, true], 7), Some(1));
+        assert_eq!(find_valid_tag(&[7, 8], &[false, true], 7), None);
+        assert_eq!(find_valid_tag(&[], &[], 7), None);
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub trait RewardFunction {
 /// to [`RewardFunction::stable_depth`], with deeper lookups clamped onto
 /// the (constant) tail entry. Bit-identical to evaluating the function —
 /// the bell's two `exp()` calls per prefetch-queue hit become one clamped
-/// load, and batched lookups can go through `semloc_accel::gather_i32` on
-/// the raw [`RewardLut::table`].
+/// load.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RewardLut {
     table: Vec<i32>,
@@ -66,8 +65,8 @@ impl RewardLut {
         self.expiry
     }
 
-    /// The raw table for batched gathers: `table()[min(d, len-1)]` is the
-    /// reward at depth `d` (exactly `semloc_accel::gather_i32` semantics).
+    /// The raw table: `table()[min(d, len-1)]` is the reward at depth `d`
+    /// (exactly [`RewardLut::reward`]).
     #[inline]
     pub fn table(&self) -> &[i32] {
         &self.table

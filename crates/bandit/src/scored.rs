@@ -19,42 +19,14 @@ pub enum Replacement {
     Fifo,
 }
 
-/// An action storable in a [`ScoredSet`]: the membership scan is routed
-/// through a per-type accelerated kernel (first-match, identical to
-/// `Iterator::position`). `Default` supplies the filler for unused slots —
-/// never observable, since every read is bounded by the live length.
-pub trait Action: Copy + Eq + Default {
-    /// First index of `needle` in `hay`, or `None`.
-    fn find(hay: &[Self], needle: Self) -> Option<usize>;
-}
-
-impl Action for i16 {
-    fn find(hay: &[Self], needle: Self) -> Option<usize> {
-        semloc_accel::find_i16(hay, needle)
-    }
-}
-
-impl Action for u64 {
-    fn find(hay: &[Self], needle: Self) -> Option<usize> {
-        semloc_accel::find_u64(hay, needle)
-    }
-}
-
-impl Action for i8 {
-    // No dedicated SIMD kernel: the simulator's sets key on i16 deltas and
-    // u64 blocks; i8 actions only appear in property tests.
-    fn find(hay: &[Self], needle: Self) -> Option<usize> {
-        hay.iter().position(|&a| a == needle)
-    }
-}
-
 /// Up to `N` scored candidate actions.
 ///
 /// Stored structure-of-arrays: the score scan of an eviction or a
 /// best-candidate probe touches one small contiguous array instead of
-/// striding over interleaved slots, and each scan vectorizes through
-/// `semloc_accel` (actions, scores and ages are split exactly so those
-/// kernels see flat lanes).
+/// striding over interleaved slots. The scans are plain loops: at the
+/// paper's 4 links per entry they sit far below any SIMD crossover.
+/// `Default` supplies the filler for unused action slots — never
+/// observable, since every read is bounded by the live length.
 ///
 /// ```rust
 /// use semloc_bandit::ScoredSet;
@@ -75,13 +47,13 @@ pub struct ScoredSet<A, const N: usize> {
     clock: u32,
 }
 
-impl<A: Action, const N: usize> Default for ScoredSet<A, N> {
+impl<A: Copy + Eq + Default, const N: usize> Default for ScoredSet<A, N> {
     fn default() -> Self {
         Self::new(Replacement::default())
     }
 }
 
-impl<A: Action, const N: usize> ScoredSet<A, N> {
+impl<A: Copy + Eq + Default, const N: usize> ScoredSet<A, N> {
     /// An empty set with the given replacement policy.
     pub fn new(policy: Replacement) -> Self {
         ScoredSet {
@@ -107,7 +79,7 @@ impl<A: Action, const N: usize> ScoredSet<A, N> {
     /// Index of `action` among the live slots, if stored.
     #[inline]
     fn position(&self, action: A) -> Option<usize> {
-        A::find(&self.actions[..self.len()], action)
+        self.actions[..self.len()].iter().position(|&a| a == action)
     }
 
     /// Insert `action` with score 0 if not already present. When full, the
@@ -127,14 +99,13 @@ impl<A: Action, const N: usize> ScoredSet<A, N> {
             self.len += 1;
             return None;
         }
+        // First minimum of the policy's key (the `min_by_key` tie-break).
         let victim = match self.policy {
-            Replacement::LowestScore => semloc_accel::min_index_i8(&self.scores)
-                // semloc-lint: allow(no-unwrap): eviction path only runs when the set is full
-                .expect("full set is non-empty"),
-            Replacement::Fifo => semloc_accel::min_index_u32(&self.inserted_at)
-                // semloc-lint: allow(no-unwrap): eviction path only runs when the set is full
-                .expect("full set is non-empty"),
-        };
+            Replacement::LowestScore => (0..N).min_by_key(|&i| self.scores[i]),
+            Replacement::Fifo => (0..N).min_by_key(|&i| self.inserted_at[i]),
+        }
+        // semloc-lint: allow(no-unwrap): eviction path only runs when the set is full
+        .expect("full set is non-empty");
         let evicted = (self.actions[victim], self.scores[victim]);
         self.actions[victim] = action;
         self.scores[victim] = 0;
@@ -173,9 +144,11 @@ impl<A: Action, const N: usize> ScoredSet<A, N> {
         self.position(action).map(|i| self.scores[i])
     }
 
-    /// The highest-scoring candidate.
+    /// The highest-scoring candidate; ties go to the last slot (the
+    /// `max_by_key` tie-break).
     pub fn best(&self) -> Option<(A, i8)> {
-        semloc_accel::max_index_last_i8(&self.scores[..self.len()])
+        (0..self.len())
+            .max_by_key(|&i| self.scores[i])
             .map(|i| (self.actions[i], self.scores[i]))
     }
 

@@ -1,12 +1,12 @@
 //! Before/after measurement of the acceleration layer (written to
-//! `BENCH_accel.json`): per-kernel scalar-vs-SIMD rows for every
-//! `semloc_accel` kernel, component rows against the pre-acceleration
-//! replicas in [`semloc_bench::legacy`], and the end-to-end
-//! 16-kernel × 6-prefetcher × sweep grid under the old fixed-count work
-//! queue vs the work-stealing shard pool.
+//! `BENCH_accel.json`): scalar-vs-SIMD rows for both `semloc_accel`
+//! kernels, component rows against the pre-acceleration replicas in
+//! [`semloc_bench::legacy`], and the end-to-end 16-kernel × 6-prefetcher ×
+//! sweep grid under the old fixed-count work queue vs the work-stealing
+//! shard pool.
 //!
 //! "Before" numbers are live code: the portable scalar kernels (the exact
-//! loops the SIMD tiers replace), the legacy replicas, and
+//! loops the AVX2 tier replaces), the legacy replicas, and
 //! [`legacy_parallel_map`] (the original atomic-counter queue). Every
 //! before/after pair is digest-asserted bit-identical before timing.
 //! Run with `cargo run --release -p semloc-bench --bin bench_accel
@@ -56,230 +56,57 @@ fn time_per(reps: usize, elems: u64, mut f: impl FnMut() -> u64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn tier_name(t: Tier) -> &'static str {
-    match t {
-        Tier::Scalar => "scalar",
-        Tier::Sse2 => "sse2",
-        Tier::Avx2 => "avx2",
-        Tier::Avx512 => "avx512",
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Per-kernel scalar vs SIMD rows
 // ---------------------------------------------------------------------------
 
-/// Lane counts chosen at and above the production shapes: 8 lanes is the
-/// FeatureVec / cache-way scale, 48–128 covers GHB chains, pfq-scale scans
-/// and sweep-widened tables. Needles are absent (full-scan worst case) so
-/// both sides do identical work.
+/// Lane counts at and above the production shapes: GHB chains run up to
+/// 64 deltas, and 64 ways is the sweep-widened cache stripe (the
+/// paper-default 8-way L1 probe stays on the scalar side of the
+/// crossover). Needles are absent (full-scan worst case) so both sides do
+/// identical work.
 fn bench_simd_rows(row: &mut impl FnMut(&str, &str, f64, f64) -> f64) -> Vec<(String, f64)> {
     const ITERS: usize = 40_000;
+    /// ns/lane of `call` at the scalar tier and at `best`.
+    fn scalar_vs(best: Tier, lanes: usize, call: impl Fn(Tier) -> u64) -> (f64, f64) {
+        let time = |t: Tier| {
+            time_per(9, (lanes * ITERS) as u64, || {
+                (0..ITERS).fold(0u64, |acc, _| acc.wrapping_add(call(t)))
+            })
+        };
+        (time(Tier::Scalar), time(best))
+    }
     let best = best_supported();
-    let bn = tier_name(best);
+    let bn = best.name();
     let mut rng = Rng(0x5eed_0acc);
-    let mut speedups = Vec::new();
-    let mut push = |name: String, s: f64| speedups.push((name, s));
 
-    // mix8: the FeatureVec hash loop (always exactly 8 lanes).
-    let mut lanes = [0u64; 8];
-    for l in lanes.iter_mut() {
-        *l = rng.next();
-    }
-    let before = time_per(9, (ITERS * 8) as u64, || {
-        let mut x = black_box(lanes);
-        for _ in 0..ITERS {
-            semloc_accel::mix8_with(Tier::Scalar, &mut x);
-        }
-        x[0]
+    let deltas: Vec<i64> = (0..48).map(|_| (rng.next() % 13) as i64).collect();
+    let (before, after) = scalar_vs(best, deltas.len(), |t| {
+        semloc_accel::find_pair_i64_with(t, black_box(&deltas), 14, 14).map_or(0, |i| i as u64)
     });
-    let after = time_per(9, (ITERS * 8) as u64, || {
-        let mut x = black_box(lanes);
-        for _ in 0..ITERS {
-            semloc_accel::mix8_with(best, &mut x);
-        }
-        x[0]
-    });
-    push(
-        "mix8".into(),
-        row(
-            "mix8 (8 lanes)",
-            &format!("simd/mix8_8/scalar_vs_{bn}"),
-            before,
-            after,
-        ),
-    );
-
-    macro_rules! scan_row {
-        ($label:expr, $bench:expr, $n:expr, $make:expr, $call:expr) => {{
-            let data = $make($n, &mut rng);
-            let before = time_per(9, ($n * ITERS) as u64, || {
-                let mut acc = 0u64;
-                for _ in 0..ITERS {
-                    acc = acc.wrapping_add($call(Tier::Scalar, black_box(&data)));
-                }
-                acc
-            });
-            let after = time_per(9, ($n * ITERS) as u64, || {
-                let mut acc = 0u64;
-                for _ in 0..ITERS {
-                    acc = acc.wrapping_add($call(best, black_box(&data)));
-                }
-                acc
-            });
-            push($label.into(), row($label, $bench, before, after));
-        }};
-    }
-
-    scan_row!(
-        "find_i16 (64 lanes)",
-        &format!("simd/find_i16_64/scalar_vs_{bn}"),
-        64,
-        |n: usize, rng: &mut Rng| (0..n)
-            .map(|_| (rng.next() % 1000) as i16)
-            .collect::<Vec<i16>>(),
-        |t, d: &Vec<i16>| semloc_accel::find_i16_with(t, d, -7).map_or(0, |i| i as u64)
-    );
-    scan_row!(
-        "find_u64 (128 lanes)",
-        &format!("simd/find_u64_128/scalar_vs_{bn}"),
-        128,
-        |n: usize, rng: &mut Rng| (0..n).map(|_| rng.next() | 1).collect::<Vec<u64>>(),
-        |t, d: &Vec<u64>| semloc_accel::find_u64_with(t, d, 2).map_or(0, |i| i as u64)
-    );
-    scan_row!(
-        "min_index_i8 (64 lanes)",
-        &format!("simd/min_index_i8_64/scalar_vs_{bn}"),
-        64,
-        |n: usize, rng: &mut Rng| (0..n)
-            .map(|_| (rng.next() % 200) as i8)
-            .collect::<Vec<i8>>(),
-        |t, d: &Vec<i8>| semloc_accel::min_index_i8_with(t, d).map_or(0, |i| i as u64)
-    );
-    scan_row!(
-        "max_index_last_i8 (64 lanes)",
-        &format!("simd/max_index_last_i8_64/scalar_vs_{bn}"),
-        64,
-        |n: usize, rng: &mut Rng| (0..n)
-            .map(|_| (rng.next() % 200) as i8)
-            .collect::<Vec<i8>>(),
-        |t, d: &Vec<i8>| semloc_accel::max_index_last_i8_with(t, d).map_or(0, |i| i as u64)
-    );
-    scan_row!(
-        "min_index_u32 (64 lanes)",
-        &format!("simd/min_index_u32_64/scalar_vs_{bn}"),
-        64,
-        |n: usize, rng: &mut Rng| (0..n).map(|_| rng.next() as u32).collect::<Vec<u32>>(),
-        |t, d: &Vec<u32>| semloc_accel::min_index_u32_with(t, d).map_or(0, |i| i as u64)
-    );
-    scan_row!(
+    let pair = row(
         "find_pair_i64 (48 lanes)",
         &format!("simd/find_pair_i64_48/scalar_vs_{bn}"),
-        48,
-        |n: usize, rng: &mut Rng| (0..n)
-            .map(|_| (rng.next() % 13) as i64)
-            .collect::<Vec<i64>>(),
-        |t, d: &Vec<i64>| {
-            semloc_accel::find_pair_i64_with(t, d, 14, 14).map_or(0, |i| i as u64)
-        }
+        before,
+        after,
     );
 
-    // find_valid_tag / victim_way over a 64-way set-major stripe (the
-    // sweep-widened shape; paper-default 8-way probes stay on the inlined
-    // scalar side of the crossover).
     let tags: Vec<u64> = (0..64).map(|_| rng.next() | 1).collect();
     let valid: Vec<bool> = (0..64).map(|i| i % 7 != 0).collect();
-    let lru: Vec<u64> = (0..64).map(|_| rng.next() >> 8).collect();
-    let before = time_per(9, (64 * ITERS) as u64, || {
-        let mut acc = 0u64;
-        for _ in 0..ITERS {
-            acc = acc.wrapping_add(
-                semloc_accel::find_valid_tag_with(Tier::Scalar, black_box(&tags), &valid, 2)
-                    .map_or(0, |i| i as u64),
-            );
-        }
-        acc
+    let (before, after) = scalar_vs(best, tags.len(), |t| {
+        semloc_accel::find_valid_tag_with(t, black_box(&tags), &valid, 2).map_or(0, |i| i as u64)
     });
-    let after = time_per(9, (64 * ITERS) as u64, || {
-        let mut acc = 0u64;
-        for _ in 0..ITERS {
-            acc = acc.wrapping_add(
-                semloc_accel::find_valid_tag_with(best, black_box(&tags), &valid, 2)
-                    .map_or(0, |i| i as u64),
-            );
-        }
-        acc
-    });
-    push(
-        "find_valid_tag".into(),
-        row(
-            "find_valid_tag (64 ways)",
-            &format!("simd/find_valid_tag_64/scalar_vs_{bn}"),
-            before,
-            after,
-        ),
-    );
-    let before = time_per(9, (64 * ITERS) as u64, || {
-        let mut acc = 0u64;
-        for _ in 0..ITERS {
-            acc = acc.wrapping_add(
-                semloc_accel::victim_way_with(Tier::Scalar, black_box(&valid), &lru)
-                    .map_or(0, |i| i as u64),
-            );
-        }
-        acc
-    });
-    let after = time_per(9, (64 * ITERS) as u64, || {
-        let mut acc = 0u64;
-        for _ in 0..ITERS {
-            acc = acc.wrapping_add(
-                semloc_accel::victim_way_with(best, black_box(&valid), &lru)
-                    .map_or(0, |i| i as u64),
-            );
-        }
-        acc
-    });
-    push(
-        "victim_way".into(),
-        row(
-            "victim_way (64 ways)",
-            &format!("simd/victim_way_64/scalar_vs_{bn}"),
-            before,
-            after,
-        ),
+    let tag = row(
+        "find_valid_tag (64 ways)",
+        &format!("simd/find_valid_tag_64/scalar_vs_{bn}"),
+        before,
+        after,
     );
 
-    // gather_i32 over the tabulated bell (64-hit batches).
-    let lut = RewardLut::new(&BellReward::paper_default());
-    let idxs: Vec<u32> = (0..64).map(|_| (rng.next() % 160) as u32).collect();
-    let mut out = vec![0i32; idxs.len()];
-    let before = time_per(9, (idxs.len() * ITERS) as u64, || {
-        let mut acc = 0u64;
-        for _ in 0..ITERS {
-            semloc_accel::gather_i32_with(Tier::Scalar, lut.table(), black_box(&idxs), &mut out);
-            acc = acc.wrapping_add(out[0] as u64);
-        }
-        acc
-    });
-    let after = time_per(9, (idxs.len() * ITERS) as u64, || {
-        let mut acc = 0u64;
-        for _ in 0..ITERS {
-            semloc_accel::gather_i32_with(best, lut.table(), black_box(&idxs), &mut out);
-            acc = acc.wrapping_add(out[0] as u64);
-        }
-        acc
-    });
-    push(
-        "gather_i32".into(),
-        row(
-            "gather_i32 (64 idxs)",
-            &format!("simd/gather_i32_64/scalar_vs_{bn}"),
-            before,
-            after,
-        ),
-    );
-
-    speedups
+    vec![
+        ("find_pair_i64".into(), pair),
+        ("find_valid_tag".into(), tag),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -287,30 +114,27 @@ fn bench_simd_rows(row: &mut impl FnMut(&str, &str, f64, f64) -> f64) -> Vec<(St
 // ---------------------------------------------------------------------------
 
 /// Bell-window reward evaluation: two `exp()` calls per hit vs one clamped
-/// gather over the exact [`RewardLut`] tabulation.
+/// load from the exact [`RewardLut`] tabulation.
 fn bench_bell_reward() -> (f64, f64) {
     let bell = BellReward::paper_default();
     let lut = RewardLut::new(&bell);
     let mut rng = Rng(0xbe11);
     let depths: Vec<u32> = (0..4096).map(|_| (rng.next() % 160) as u32).collect();
-    let mut out = vec![0i32; depths.len()];
 
     // Equality first (untimed).
-    semloc_accel::gather_i32(lut.table(), &depths, &mut out);
-    for (&d, &r) in depths.iter().zip(&out) {
-        assert_eq!(r, bell.reward(d), "LUT must be exact at depth {d}");
+    for &d in &depths {
+        assert_eq!(
+            lut.reward(d),
+            bell.reward(d),
+            "LUT must be exact at depth {d}"
+        );
     }
 
     let before = time_per(15, depths.len() as u64, || {
-        let mut acc = 0i64;
-        for &d in &depths {
-            acc += bell.reward(d) as i64;
-        }
-        acc as u64
+        depths.iter().map(|&d| bell.reward(d) as i64).sum::<i64>() as u64
     });
     let after = time_per(15, depths.len() as u64, || {
-        semloc_accel::gather_i32(lut.table(), &depths, &mut out);
-        out.iter().map(|&r| r as i64).sum::<i64>() as u64
+        depths.iter().map(|&d| lut.reward(d) as i64).sum::<i64>() as u64
     });
     (before, after)
 }
@@ -429,7 +253,7 @@ fn main() {
     let (bell_before, bell_after) = bench_bell_reward();
     let bell_speedup = row(
         "bell reward (per hit)",
-        "component/bell_reward/exp_vs_lut_gather",
+        "component/bell_reward/exp_vs_lut",
         bell_before,
         bell_after,
     );
@@ -534,8 +358,8 @@ fn main() {
         "  \"meta\": {{\"instr_budget\": {budget}, \"threads\": {threads}, \"best_tier\": \"{}\", \
          \"grid\": \"16 kernels x [none, stride, ghb-g/dc, ghb-pc/dc, sms, context] + storage sweep {:?}\", \
          \"grid_digest\": \"{grid_digest:#018x}\", \
-         \"note\": \"before = live legacy code (scalar kernels, interleaved replicas, atomic-counter queue); every pair digest-asserted bit-identical before timing; pool speedup scales with available cores ({} here); mix8/victim_way rows are measured via *_with and record why those production wrappers ship scalar\"}}\n}}\n",
-        tier_name(best_supported()),
+         \"note\": \"before = live legacy code (scalar kernels, interleaved replicas, atomic-counter queue); every pair digest-asserted bit-identical before timing; pool speedup scales with available cores ({} here)\"}}\n}}\n",
+        best_supported().name(),
         sweep_sizes,
         threads,
     );
@@ -547,19 +371,12 @@ fn main() {
     // Floors sit at roughly half the steady-state measurements so CI
     // noise cannot flake them; the grid floor is a no-regression guard
     // (the pool's win is parallelism, and CI boxes may expose one core).
-    // mix8 and victim_way are excluded: their measured losses are exactly
-    // why the production wrappers route those two to the scalar kernel
-    // (the rows stay in the JSON as the record of that decision).
-    let floor_rows: Vec<&(String, f64)> = simd
-        .iter()
-        .filter(|(n, _)| !n.starts_with("mix8") && !n.starts_with("victim_way"))
-        .collect();
-    let geo = (floor_rows.iter().map(|(_, s)| s.ln()).sum::<f64>() / floor_rows.len() as f64).exp();
+    let geo = (simd.iter().map(|(_, s)| s.ln()).sum::<f64>() / simd.len() as f64).exp();
     assert!(
         geo >= 1.5,
-        "shipped SIMD rows must average >= 1.5x over scalar (got {geo:.2}x)"
+        "SIMD rows must average >= 1.5x over scalar (got {geo:.2}x)"
     );
-    for (name, s) in &floor_rows {
+    for (name, s) in &simd {
         assert!(*s >= 0.8, "SIMD row {name} regressed vs scalar ({s:.2}x)");
     }
     assert!(

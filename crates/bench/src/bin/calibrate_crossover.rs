@@ -1,23 +1,20 @@
-//! Per-kernel scalar→SIMD crossover calibration (written to
-//! `BENCH_crossover.json`).
+//! Scalar→SIMD crossover calibration (written to `BENCH_crossover.json`).
 //!
 //! The auto-dispatched wrappers in `semloc_accel` route short inputs to the
 //! inlinable scalar kernels because an outlined `#[target_feature]` call
 //! plus vector setup costs more than a branchy loop over a handful of
-//! elements. Where exactly that trade flips differs per kernel — a masked
-//! 64-lane byte scan amortizes its setup far sooner than a gather — so the
-//! dispatch constants live in [`semloc_accel::crossover`], one per kernel,
-//! and this binary is the instrument that produced them: for every kernel
-//! it sweeps input lengths, times the scalar loop against the best
-//! supported tier at each length, and reports the smallest length from
-//! which the SIMD tier never loses again (the *stable* crossover, not the
-//! first lucky win).
+//! elements. The dispatch cut is [`semloc_accel::SIMD_CROSSOVER_LANES`],
+//! and this binary is the instrument that checks it: for both kernels it
+//! sweeps input lengths, times the scalar loop against the best supported
+//! tier at each length, and reports the smallest length from which the
+//! SIMD tier never loses again (the *stable* crossover, not the first
+//! lucky win).
 //!
-//! Inputs are needle-absent full scans — the shape the wrappers are tuned
+//! Inputs are needle-absent full scans — the shape the wrapper is tuned
 //! for, matching `bench_accel`'s rows. Run with
 //! `cargo run --release -p semloc-bench --bin calibrate_crossover
 //! [crossover.json]` and compare the printed table against the committed
-//! constants when bringing up a new host class.
+//! constant when bringing up a new host class.
 
 // Wall-clock timing is this binary's purpose (semloc-lint rule D2 exempts the bench crate).
 #![allow(clippy::disallowed_methods)]
@@ -26,7 +23,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use semloc_accel::{best_supported, crossover, scalar, Tier};
+use semloc_accel::{best_supported, scalar, Tier, SIMD_CROSSOVER_LANES};
 
 /// xorshift64 — deterministic input streams.
 struct Rng(u64);
@@ -56,15 +53,14 @@ fn time_call(reps: usize, iters: usize, mut f: impl FnMut() -> u64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The lane counts swept: production shapes (4–8 way probes, 48–64 lane
-/// tables) plus the sweep-widened tail.
+/// The lane counts swept: production shapes (8- and 16-way probes, GHB
+/// chains of 8–64 deltas) plus the sweep-widened tail.
 const LENGTHS: &[usize] = &[4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128];
 
 /// One kernel's sweep: `(length, scalar_ns, simd_ns)` rows plus the stable
 /// crossover — the smallest swept length from which SIMD never loses.
 struct Sweep {
     name: &'static str,
-    committed: usize,
     rows: Vec<(usize, f64, f64)>,
 }
 
@@ -84,26 +80,21 @@ impl Sweep {
     }
 }
 
-fn sweep(
-    name: &'static str,
-    committed: usize,
-    mut run: impl FnMut(Option<Tier>, usize) -> u64,
-) -> Sweep {
-    const ITERS: usize = 30_000;
+/// Calls per timed repetition, and repetitions per (kernel, length, side).
+const ITERS: usize = 30_000;
+const REPS: usize = 9;
+
+fn sweep(name: &'static str, mut run: impl FnMut(Option<Tier>, usize) -> u64) -> Sweep {
     let best = best_supported();
     let rows = LENGTHS
         .iter()
         .map(|&n| {
-            let scalar_ns = time_call(9, ITERS, || run(None, n));
-            let simd_ns = time_call(9, ITERS, || run(Some(best), n));
+            let scalar_ns = time_call(REPS, ITERS, || run(None, n));
+            let simd_ns = time_call(REPS, ITERS, || run(Some(best), n));
             (n, scalar_ns, simd_ns)
         })
         .collect();
-    Sweep {
-        name,
-        committed,
-        rows,
-    }
+    Sweep { name, rows }
 }
 
 fn main() {
@@ -114,63 +105,15 @@ fn main() {
     let mut rng = Rng(0xc0_55_0e_12);
 
     let max_n = *LENGTHS.last().expect("length table is non-empty");
-    let i16s: Vec<i16> = (0..max_n).map(|_| (rng.next() % 1000) as i16).collect();
-    let u64s: Vec<u64> = (0..max_n).map(|_| rng.next() | 1).collect();
-    let i8s: Vec<i8> = (0..max_n).map(|_| (rng.next() % 200) as i8).collect();
-    let u32s: Vec<u32> = (0..max_n).map(|_| rng.next() as u32).collect();
-    let i64s: Vec<i64> = (0..max_n).map(|_| (rng.next() % 13) as i64).collect();
-    let tags = u64s.clone();
+    let tags: Vec<u64> = (0..max_n).map(|_| rng.next() | 1).collect();
     let valid: Vec<bool> = (0..max_n).map(|i| i % 7 != 0).collect();
-    let lru: Vec<u64> = (0..max_n).map(|_| rng.next() >> 8).collect();
-    let table: Vec<i32> = (0..160).map(|i| i * 3 - 40).collect();
-    let idxs: Vec<u32> = (0..max_n).map(|_| (rng.next() % 160) as u32).collect();
-    let mut out = vec![0i32; max_n];
+    let i64s: Vec<i64> = (0..max_n).map(|_| (rng.next() % 13) as i64).collect();
 
     // Each closure runs the *scalar module* directly for `None` (the code
     // the wrapper inlines below the crossover) and the dispatched tier for
-    // `Some(best)` — exactly the two sides the constants arbitrate.
-    let sweeps = vec![
-        sweep("find_i16", crossover::FIND_I16, |t, n| {
-            let d = black_box(&i16s[..n]);
-            match t {
-                None => scalar::find_i16(d, -7),
-                Some(t) => semloc_accel::find_i16_with(t, d, -7),
-            }
-            .map_or(0, |i| i as u64)
-        }),
-        sweep("find_u64", crossover::FIND_U64, |t, n| {
-            let d = black_box(&u64s[..n]);
-            match t {
-                None => scalar::find_u64(d, 2),
-                Some(t) => semloc_accel::find_u64_with(t, d, 2),
-            }
-            .map_or(0, |i| i as u64)
-        }),
-        sweep("min_index_i8", crossover::MIN_INDEX_I8, |t, n| {
-            let d = black_box(&i8s[..n]);
-            match t {
-                None => scalar::min_index_i8(d),
-                Some(t) => semloc_accel::min_index_i8_with(t, d),
-            }
-            .map_or(0, |i| i as u64)
-        }),
-        sweep("max_index_last_i8", crossover::MAX_INDEX_LAST_I8, |t, n| {
-            let d = black_box(&i8s[..n]);
-            match t {
-                None => scalar::max_index_last_i8(d),
-                Some(t) => semloc_accel::max_index_last_i8_with(t, d),
-            }
-            .map_or(0, |i| i as u64)
-        }),
-        sweep("min_index_u32", crossover::MIN_INDEX_U32, |t, n| {
-            let d = black_box(&u32s[..n]);
-            match t {
-                None => scalar::min_index_u32(d),
-                Some(t) => semloc_accel::min_index_u32_with(t, d),
-            }
-            .map_or(0, |i| i as u64)
-        }),
-        sweep("find_valid_tag", crossover::FIND_VALID_TAG, |t, n| {
+    // `Some(best)` — exactly the two sides the constant arbitrates.
+    let sweeps = [
+        sweep("find_valid_tag", |t, n| {
             let (tg, vl) = (black_box(&tags[..n]), black_box(&valid[..n]));
             match t {
                 None => scalar::find_valid_tag(tg, vl, 2),
@@ -178,23 +121,7 @@ fn main() {
             }
             .map_or(0, |i| i as u64)
         }),
-        sweep("victim_way", usize::MAX, |t, n| {
-            let (vl, lr) = (black_box(&valid[..n]), black_box(&lru[..n]));
-            match t {
-                None => scalar::victim_way(vl, lr),
-                Some(t) => semloc_accel::victim_way_with(t, vl, lr),
-            }
-            .map_or(0, |i| i as u64)
-        }),
-        sweep("gather_i32", crossover::GATHER_I32, |t, n| {
-            let ix = black_box(&idxs[..n]);
-            match t {
-                None => scalar::gather_i32(&table, ix, &mut out),
-                Some(t) => semloc_accel::gather_i32_with(t, &table, ix, &mut out),
-            }
-            out[0] as u64
-        }),
-        sweep("find_pair_i64", crossover::FIND_PAIR_I64, |t, n| {
+        sweep("find_pair_i64", |t, n| {
             let d = black_box(&i64s[..n]);
             match t {
                 None => scalar::find_pair_i64(d, 14, 14),
@@ -205,19 +132,18 @@ fn main() {
     ];
 
     println!(
-        "kernel              committed   measured   (lengths where SIMD wins, best tier: {best:?})"
+        "kernel              committed   measured   (lengths where SIMD wins, best tier: {})",
+        best.name()
     );
     println!("--------------------------------------------------------------------------------");
     let mut json = String::from("{\n");
     for s in &sweeps {
         let measured = s.stable_crossover();
-        let measured_str = measured.map_or("never".into(), |n| n.to_string());
-        let committed_str = if s.committed == usize::MAX {
-            "never".into()
-        } else {
-            s.committed.to_string()
-        };
-        println!("{:<19} {committed_str:>9} {measured_str:>10}", s.name);
+        println!(
+            "{:<19} {SIMD_CROSSOVER_LANES:>9} {:>10}",
+            s.name,
+            measured.map_or("never".into(), |n| n.to_string())
+        );
         let rows = s
             .rows
             .iter()
@@ -228,20 +154,16 @@ fn main() {
             .join(", ");
         let _ = writeln!(
             json,
-            "  \"{}\": {{\"committed\": {}, \"measured\": {}, \"rows\": [{rows}]}},",
+            "  \"{}\": {{\"committed\": {SIMD_CROSSOVER_LANES}, \"measured\": {}, \"rows\": [{rows}]}},",
             s.name,
-            if s.committed == usize::MAX {
-                "null".into()
-            } else {
-                s.committed.to_string()
-            },
             measured.map_or("null".into(), |n| n.to_string()),
         );
     }
     let _ = writeln!(
         json,
-        "  \"meta\": {{\"best_tier\": \"{best:?}\", \"lengths\": {LENGTHS:?}, \
-         \"note\": \"committed = semloc_accel::crossover constants; measured = smallest swept length from which the best tier never loses to scalar on this host (needle-absent full scans); victim_way is recorded for the ships-scalar decision, not dispatched\"}}\n}}"
+        "  \"meta\": {{\"best_tier\": \"{}\", \"lengths\": {LENGTHS:?}, \"iters\": {ITERS}, \"reps\": {REPS}, \
+         \"note\": \"committed = semloc_accel::SIMD_CROSSOVER_LANES; measured = smallest swept length from which the best tier never loses to scalar on this host (needle-absent full scans); each cell is the best of reps runs of iters calls\"}}\n}}",
+        best.name()
     );
     std::fs::write(&out_path, &json).expect("write BENCH_crossover.json");
     println!("\nwrote {out_path}");

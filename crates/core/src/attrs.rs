@@ -99,18 +99,12 @@ impl FeatureVec {
     /// inner mixes.
     #[inline]
     pub fn extract(ctx: &AccessContext, block_shift: u32) -> Self {
-        // The 8 independent inner mixes `mix(feature_i ⊕ salt_i)` go
-        // through one SIMD SplitMix64 batch; only the (inherently serial)
-        // full-chain fold stays scalar. `mix8`'s lanes are exactly
-        // `Attr::COUNT` wide.
-        const { assert!(Attr::COUNT == 8) };
         let mut mixed = [0u64; Attr::COUNT];
         for (i, attr) in Attr::ORDER.into_iter().enumerate() {
-            mixed[i] = attr
+            mixed[i] = mix(attr
                 .feature(ctx, block_shift)
-                .wrapping_add((i as u64).wrapping_mul(SALT));
+                .wrapping_add((i as u64).wrapping_mul(SALT)));
         }
-        semloc_accel::mix8(&mut mixed);
         let mut full_acc = FULL_SEED;
         for &m in &mixed {
             full_acc = mix(full_acc ^ m);

@@ -71,9 +71,6 @@ pub struct ContextPrefetcher<P: LearnedPolicy = CstBanditPolicy> {
     /// Exact tabulation of `cfg.reward` — derived configuration, rebuilt on
     /// construction, deliberately absent from snapshots.
     reward_lut: RewardLut,
-    /// Scratch for the batched depth→reward gather in `feedback`.
-    depth_buf: Vec<u32>,
-    reward_buf: Vec<i32>,
     mem_stats: PrefetcherStats,
 }
 
@@ -120,8 +117,6 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
             hit_buf: Vec::with_capacity(8),
             rank_buf: Vec::with_capacity(16),
             reward_lut,
-            depth_buf: Vec::with_capacity(8),
-            reward_buf: Vec::with_capacity(8),
             mem_stats: PrefetcherStats::default(),
             cfg,
         }
@@ -170,19 +165,11 @@ impl<P: LearnedPolicy> ContextPrefetcher<P> {
         hits.clear();
         self.pfq.record_access(block, seq, &mut hits);
         let (lo, hi) = self.cfg.reward.window();
-        // Batched depth→reward translation: one clamped gather over the
-        // tabulated bell (bit-identical to `cfg.reward.reward(depth)`, see
-        // `RewardLut`) instead of two `exp()` calls per hit.
-        self.depth_buf.clear();
-        self.depth_buf.extend(hits.iter().map(|h| h.depth));
-        self.reward_buf.clear();
-        self.reward_buf.resize(hits.len(), 0);
-        semloc_accel::gather_i32(
-            self.reward_lut.table(),
-            &self.depth_buf,
-            &mut self.reward_buf,
-        );
-        for (h, &r) in hits.iter().zip(&self.reward_buf) {
+        for h in &hits {
+            // One clamped load from the tabulated bell (bit-identical to
+            // `cfg.reward.reward(depth)`, see `RewardLut`) instead of two
+            // `exp()` calls per hit.
+            let r = self.reward_lut.reward(h.depth);
             if h.depth < lo {
                 // Late hits only shortened a wait (the demand merged into
                 // the in-flight fill): partial credit, capped so it can

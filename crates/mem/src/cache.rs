@@ -63,7 +63,7 @@ pub struct Cache {
     /// tags of a whole set inside one hardware cache line (an 8-way probe
     /// touches 64 contiguous tag bytes instead of striding over ~400 bytes
     /// of interleaved metadata) and exposes flat lanes to the
-    /// `semloc_accel` tag-probe and victim-scan kernels.
+    /// `semloc_accel` tag-probe kernel.
     tags: Box<[u64]>,
     valid: Box<[bool]>,
     dirty: Box<[bool]>,
@@ -206,12 +206,7 @@ impl Cache {
         }
         let base = set * self.ways;
         let r = base..base + self.ways;
-        // First-minimum of `if valid { lru + 1 } else { 0 }`, exactly the
-        // `min_by_key` the interleaved scan used.
-        let victim = base
-            + semloc_accel::victim_way(&self.valid[r.clone()], &self.lru[r])
-                // semloc-lint: allow(no-unwrap): associativity is validated > 0 at construction
-                .expect("cache set has at least one way");
+        let victim = base + victim_way(&self.valid[r.clone()], &self.lru[r]);
         let ev = Eviction {
             valid: self.valid[victim],
             dirty: self.valid[victim] && self.dirty[victim],
@@ -302,9 +297,56 @@ impl Snapshot for Cache {
     }
 }
 
+/// Replacement victim of one set: the first way minimizing the LRU key
+/// `if valid { lru + 1 } else { 0 }` — invalid ways always win, ties go to
+/// the first way (the `min_by_key` the interleaved scan used). The key
+/// wraps so the order is total over all of `u64`; real LRU ticks never
+/// reach the wrap. `valid` must be non-empty (`CacheConfig::sets` rejects
+/// 0 ways) and as long as `lru`.
+#[inline]
+fn victim_way(valid: &[bool], lru: &[u64]) -> usize {
+    let key = |i: usize| {
+        if valid[i] {
+            lru[i].wrapping_add(1)
+        } else {
+            0
+        }
+    };
+    let (mut victim, mut best) = (0, key(0));
+    for i in 1..valid.len() {
+        let k = key(i);
+        if k < best {
+            (victim, best) = (i, k);
+        }
+    }
+    victim
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Tie-dense LRU stamps: the victim is the first minimum of the
+        /// LRU key, as `Iterator::min_by_key` picks it.
+        #[test]
+        fn victim_is_the_first_minimum_of_the_lru_key(
+            ways in collection::vec(
+                (any::<bool>(), prop_oneof![0u64..4, Just(u64::MAX), any::<u64>()]),
+                1..20,
+            )
+        ) {
+            let valid: Vec<bool> = ways.iter().map(|w| w.0).collect();
+            let lru: Vec<u64> = ways.iter().map(|w| w.1).collect();
+            let want = ways
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &(v, l))| if v { l.wrapping_add(1) } else { 0 })
+                .map(|(i, _)| i);
+            prop_assert_eq!(Some(victim_way(&valid, &lru)), want);
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B = 512B
