@@ -27,6 +27,7 @@
 //! uninterrupted run would have seen.
 
 use std::io;
+use std::sync::Arc;
 
 use semloc_cpu::{Cpu, Stop};
 use semloc_mem::{Hierarchy, Prefetcher};
@@ -280,7 +281,8 @@ impl Engine {
     /// state moves — a diverging stream is rejected with
     /// [`io::ErrorKind::InvalidData`], because restoring warm state into a
     /// stream that disagrees about the past would silently break the
-    /// checkpoint contract.
+    /// checkpoint contract. A target sharing this engine's own capture
+    /// (the same `Arc`) agrees by construction and skips the compare.
     pub fn fork_onto(&self, replay: ReplayKernel) -> io::Result<Engine> {
         let cursor = self.cursor();
         if (replay.trace().buf.len() as u64) < cursor {
@@ -290,15 +292,20 @@ impl Engine {
                 replay.trace().buf.len()
             )));
         }
-        let ours = self.replay.trace().buf.iter().take(cursor as usize);
-        let theirs = replay.trace().buf.iter().take(cursor as usize);
-        for (n, (a, b)) in ours.zip(theirs).enumerate() {
-            if a != b {
-                return Err(snap_err(format!(
-                    "fork_onto target '{}' diverges from '{}' at instr {n} (cursor {cursor})",
-                    replay.name(),
-                    self.replay.name()
-                )));
+        // The engine's own capture trivially agrees with itself (the
+        // arena forks onto the store's shared Arc), so only a different
+        // capture pays for the prefix compare.
+        if !Arc::ptr_eq(self.replay.trace(), replay.trace()) {
+            let ours = self.replay.trace().buf.iter().take(cursor as usize);
+            let theirs = replay.trace().buf.iter().take(cursor as usize);
+            for (n, (a, b)) in ours.zip(theirs).enumerate() {
+                if a != b {
+                    return Err(snap_err(format!(
+                        "fork_onto target '{}' diverges from '{}' at instr {n} (cursor {cursor})",
+                        replay.name(),
+                        self.replay.name()
+                    )));
+                }
             }
         }
         let mut e = Engine::new(replay, &self.kind, &self.config);
@@ -322,7 +329,6 @@ mod tests {
     use super::*;
     use crate::run_kernel_uncached;
     use semloc_workloads::{capture_kernel, kernel_by_name};
-    use std::sync::Arc;
 
     fn replay_of(name: &str, budget: u64) -> ReplayKernel {
         let k = kernel_by_name(name).unwrap();
@@ -427,6 +433,38 @@ mod tests {
             uninterrupted.stats_digest(),
             "fork_onto continuation must match an uninterrupted run"
         );
+    }
+
+    #[test]
+    fn fork_onto_the_same_capture_matches_an_uninterrupted_run() {
+        let kind = PrefetcherKind::context();
+        let cfg = quick();
+        let replay = replay_of("mcf", cfg.instr_budget);
+        let uninterrupted = {
+            let mut e = Engine::new(replay.clone(), &kind, &cfg);
+            e.run_to_end();
+            e.finish()
+        };
+        let mut warm = Engine::new(replay.clone(), &kind, &cfg);
+        warm.run_to(20_000);
+        // A clone shares the capture's Arc: the prefix compare is skipped.
+        assert!(Arc::ptr_eq(warm.replay.trace(), replay.trace()));
+        let mut shared = warm.fork_onto(replay.clone()).unwrap();
+        // A distinct Arc with equal contents still runs the compare.
+        let copy = ReplayKernel::new(Arc::new(replay.trace().as_ref().clone()));
+        assert!(!Arc::ptr_eq(warm.replay.trace(), copy.trace()));
+        let mut distinct = warm.fork_onto(copy).unwrap();
+        for forked in [&mut shared, &mut distinct] {
+            assert_eq!(forked.cursor(), 20_000);
+            forked.run_to_end();
+        }
+        for forked in [shared, distinct] {
+            assert_eq!(
+                forked.finish().stats_digest(),
+                uninterrupted.stats_digest(),
+                "fork_onto the same capture must match an uninterrupted run"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use semloc_trace::{DecodedChunk, DecodedTrace, FaultPlan, ShortWriter, TraceBuffer, BLOCK_LEN};
+use semloc_trace::{DecodedTrace, FaultPlan, LaneChunk, ShortWriter, TraceBuffer, BLOCK_LEN};
 use semloc_workloads::{capture_kernel, CapturedTrace, Kernel, ReplayKernel};
 
 use crate::pool::{pool_threads, run_sharded};
@@ -345,24 +345,18 @@ impl TraceStore {
     }
 
     /// Expand a captured buffer into decoded lanes, fanning
-    /// [`BLOCK_LEN`]-aligned chunks over the shard pool. Chunk decode is
-    /// independent (each seeks via the buffer's block marks), and
-    /// [`DecodedTrace::assemble`] stitches results positionally, so the
-    /// output is bit-identical at any thread count.
+    /// [`BLOCK_LEN`]-aligned chunk views of the final lanes over the shard
+    /// pool. Each chunk seeks via the buffer's block marks and fills only
+    /// its own slices, so the output is bit-identical at any thread count.
     fn decode_parallel(buf: &TraceBuffer) -> DecodedTrace {
         // 64 blocks = 16k instructions per chunk: large enough that the
-        // per-chunk seek + assembly copy is noise, small enough to spread
-        // a 200k-instruction trace across every worker.
+        // per-chunk seek is noise, small enough to spread a
+        // 200k-instruction trace across every worker.
         const CHUNK: usize = 64 * BLOCK_LEN;
-        let total = buf.len();
-        let starts: Vec<usize> = (0..total.div_ceil(CHUNK).max(1))
-            .map(|c| c * CHUNK)
-            .collect();
-        let threads = pool_threads().min(starts.len());
-        let chunks = run_sharded(threads, starts, |start| {
-            DecodedChunk::decode(buf, start, CHUNK)
-        });
-        DecodedTrace::assemble(total, chunks)
+        DecodedTrace::decode_chunked(buf, CHUNK, |chunks| {
+            let threads = pool_threads().min(chunks.len());
+            run_sharded(threads, chunks, LaneChunk::fill)
+        })
     }
 
     /// Counters of the decoded-lane cache: replays served from an

@@ -5,15 +5,16 @@
 //! budgets that stop in the middle of a 256-instruction block — a store
 //! with decoding enabled and a store forced onto the streaming varint
 //! path must produce bit-identical statistics. Alongside, the capture
-//! prefix property ([`CapturedTrace::covers`]) and the chunk-parallel
+//! prefix property ([`CapturedTrace::covers`]) and the chunked lane
 //! decoder's independence from chunk geometry are pinned over random
-//! inputs, because all three are what the golden-digest test's stability
+//! kernel captures (random instruction mixes are covered in the trace
+//! crate's `lane_decode_props`), because all three are what the golden-digest test's stability
 //! under `SEMLOC_DECODE_CACHE_MB` / thread-count changes rests on.
 
 use proptest::prelude::*;
 
 use semloc_harness::{run_kernel_with_store, PrefetcherKind, SimConfig, TraceStore};
-use semloc_trace::{DecodedChunk, DecodedTrace, BLOCK_LEN};
+use semloc_trace::{DecodedTrace, LaneChunk, BLOCK_LEN};
 use semloc_workloads::{all_kernels, capture_kernel};
 
 proptest! {
@@ -87,10 +88,11 @@ proptest! {
         }
     }
 
-    /// The chunk-parallel decoder is bit-identical to the streaming varint
-    /// decode regardless of chunk geometry: every lane value of the
-    /// assembled [`DecodedTrace`] matches the corresponding streamed
-    /// [`Instr`], for random kernels, budgets and block-aligned chunk sizes.
+    /// Lane decode is bit-identical to the streaming varint decode
+    /// regardless of chunk geometry: the serial decode and a chunked decode
+    /// (block-aligned chunks filled in reverse order) match every streamed
+    /// [`Instr`], and the op lane is the buffer's op column, for random
+    /// kernels, budgets and chunk sizes.
     #[test]
     fn chunked_decode_matches_streaming_for_any_geometry(
         kidx in 0usize..64,
@@ -101,17 +103,20 @@ proptest! {
         let kernel = kernels[kidx % kernels.len()].as_ref();
         let t = capture_kernel(kernel, budget);
         let chunk = chunk_blocks * BLOCK_LEN;
-        let chunks: Vec<DecodedChunk> = (0..t.buf.len().div_ceil(chunk).max(1))
-            .map(|c| DecodedChunk::decode(&t.buf, c * chunk, chunk))
-            .collect();
-        let assembled = DecodedTrace::assemble(t.buf.len(), chunks);
-        prop_assert_eq!(assembled.len(), t.buf.len());
-        for (i, streamed) in t.buf.iter().enumerate() {
-            prop_assert_eq!(
-                assembled.instr(i), streamed,
-                "{}: lane mismatch at instruction {i} (chunk={chunk})",
-                kernel.name()
-            );
+        let serial = DecodedTrace::decode(&t.buf);
+        let chunked = DecodedTrace::decode_chunked(&t.buf, chunk, |chunks| {
+            chunks.into_iter().rev().map(LaneChunk::fill).collect()
+        });
+        for d in [&serial, &chunked] {
+            prop_assert_eq!(d.len(), t.buf.len());
+            prop_assert_eq!(d.block(0, d.len()).ops, t.buf.op_bytes());
+            for (i, streamed) in t.buf.iter().enumerate() {
+                prop_assert_eq!(
+                    d.instr(i), streamed,
+                    "{}: lane mismatch at instruction {i} (chunk={chunk})",
+                    kernel.name()
+                );
+            }
         }
     }
 }

@@ -147,6 +147,13 @@ impl TraceBuffer {
         self.ops.len() + self.pcs.len() + self.addrs.len() + self.regs.len() + self.aux.len()
     }
 
+    /// The op column: one byte per instruction, kind tag plus presence
+    /// flags. It is already the op lane of a
+    /// [`DecodedTrace`](crate::DecodedTrace), which copies it as is.
+    pub fn op_bytes(&self) -> &[u8] {
+        &self.ops
+    }
+
     /// Append one instruction.
     pub fn push(&mut self, i: &Instr) {
         if self.ops.len().is_multiple_of(BLOCK_LEN) && !self.ops.is_empty() {
@@ -354,13 +361,13 @@ impl TraceCursor {
     }
 
     #[inline]
-    fn reg(&mut self, buf: &TraceBuffer, present: bool) -> Option<Reg> {
+    fn reg(&mut self, buf: &TraceBuffer, present: bool) -> u8 {
         if present {
             let r = buf.regs[self.p_regs];
             self.p_regs += 1;
-            Some(Reg(r))
+            r
         } else {
-            None
+            0
         }
     }
 
@@ -374,11 +381,12 @@ impl TraceCursor {
         (addr, size)
     }
 
-    /// Decode the next instruction of `buf` and advance, or `None` at the
-    /// end of the buffer.
-    #[inline]
-    pub fn next(&mut self, buf: &TraceBuffer) -> Option<Instr> {
-        let &op = buf.ops.get(self.i)?;
+    /// Decode the varint fields of the next instruction, whose op byte is
+    /// `op`, and advance. This is the one place the column encoding is
+    /// read back: [`TraceCursor::next`] builds an [`Instr`] from the words
+    /// and [`DecodedTrace`](crate::DecodedTrace) stores them as lanes.
+    #[inline(always)]
+    pub(crate) fn words(&mut self, buf: &TraceBuffer, op: u8) -> LaneWords {
         self.i += 1;
 
         let delta = unzigzag(get_varint(&buf.pcs, &mut self.p_pcs));
@@ -389,28 +397,26 @@ impl TraceCursor {
         let src2 = self.reg(buf, op & F_SRC2 != 0);
         let dst = self.reg(buf, op & F_DST != 0);
 
-        let kind = match op & KIND_MASK {
-            K_ALU => InstrKind::Alu {
-                latency: get_varint(&buf.aux, &mut self.p_aux) as u32,
-            },
+        let (aux, size, hints) = match op & KIND_MASK {
+            K_ALU => (get_varint(&buf.aux, &mut self.p_aux) as u32 as u64, 0, 0),
             K_LOAD => {
                 let (addr, size) = self.mem_operand(buf);
-                let hints = (op & F_AUX != 0)
-                    .then(|| SemanticHints::unpack(get_varint(&buf.aux, &mut self.p_aux) as u32));
-                InstrKind::Load { addr, size, hints }
+                let hints = if op & F_AUX != 0 {
+                    get_varint(&buf.aux, &mut self.p_aux) as u32
+                } else {
+                    0
+                };
+                (addr, size, hints)
             }
             K_STORE => {
                 let (addr, size) = self.mem_operand(buf);
-                InstrKind::Store { addr, size }
+                (addr, size, 0)
             }
             K_BRANCH => {
                 let tdelta = unzigzag(get_varint(&buf.aux, &mut self.p_aux));
-                InstrKind::Branch {
-                    taken: op & F_AUX != 0,
-                    target: pc.wrapping_add(tdelta as u64),
-                }
+                (pc.wrapping_add(tdelta as u64), 0, 0)
             }
-            _ => InstrKind::Nop,
+            _ => (0, 0, 0),
         };
 
         let result = if op & F_RESULT != 0 {
@@ -419,15 +425,69 @@ impl TraceCursor {
             0
         };
 
-        Some(Instr {
+        LaneWords {
             pc,
-            kind,
+            aux,
+            size,
+            hints,
             src1,
             src2,
             dst,
             result,
+        }
+    }
+
+    /// Decode the next instruction of `buf` and advance, or `None` at the
+    /// end of the buffer.
+    #[inline]
+    pub fn next(&mut self, buf: &TraceBuffer) -> Option<Instr> {
+        let &op = buf.ops.get(self.i)?;
+        let w = self.words(buf, op);
+        let kind = match op & KIND_MASK {
+            K_ALU => InstrKind::Alu {
+                latency: w.aux as u32,
+            },
+            K_LOAD => InstrKind::Load {
+                addr: w.aux,
+                size: w.size,
+                hints: (op & F_AUX != 0).then(|| SemanticHints::unpack(w.hints)),
+            },
+            K_STORE => InstrKind::Store {
+                addr: w.aux,
+                size: w.size,
+            },
+            K_BRANCH => InstrKind::Branch {
+                taken: op & F_AUX != 0,
+                target: w.aux,
+            },
+            _ => InstrKind::Nop,
+        };
+        Some(Instr {
+            pc: w.pc,
+            kind,
+            src1: (op & F_SRC1 != 0).then_some(Reg(w.src1)),
+            src2: (op & F_SRC2 != 0).then_some(Reg(w.src2)),
+            dst: (op & F_DST != 0).then_some(Reg(w.dst)),
+            result: w.result,
         })
     }
+}
+
+/// One instruction's fixed-width fields as [`TraceCursor::words`] decodes
+/// them: the per-instruction words of every
+/// [`DecodedTrace`](crate::DecodedTrace) lane except the op byte. Absent
+/// operands and fields read zero.
+pub(crate) struct LaneWords {
+    pub(crate) pc: u64,
+    /// ALU latency, load/store address or branch target.
+    pub(crate) aux: u64,
+    pub(crate) size: u8,
+    /// Packed semantic hints of a hinted load.
+    pub(crate) hints: u32,
+    pub(crate) src1: u8,
+    pub(crate) src2: u8,
+    pub(crate) dst: u8,
+    pub(crate) result: u64,
 }
 
 /// Sequential decoder over a [`TraceBuffer`]: a [`TraceCursor`] bound to

@@ -1,28 +1,30 @@
 //! Fully-decoded trace lanes for zero-decode block replay.
 //!
-//! [`DecodedTrace`] is the flat struct-of-arrays twin of
-//! [`TraceBuffer`](crate::TraceBuffer): every varint is expanded once into
-//! fixed-width parallel lanes (op byte, absolute PC, a kind-dependent
-//! 64-bit auxiliary word, access size, packed hints, the three register
-//! operands, and the architectural result), so replay becomes pure
-//! sequential lane reads with no per-instruction decode work. The layout
-//! costs ~33 B/instr — a deliberate space-for-time trade against the
-//! ~6-10 B/instr varint encoding — which is why callers cache these behind
-//! a byte-budgeted LRU rather than keeping one per capture forever.
+//! [`DecodedTrace`] is the flat struct-of-arrays twin of [`TraceBuffer`]:
+//! every varint is expanded once into fixed-width parallel lanes (op byte,
+//! absolute PC, a kind-dependent 64-bit auxiliary word, access size,
+//! packed hints, the three register operands, and the architectural
+//! result), so replay becomes pure sequential lane reads with no
+//! per-instruction decode work. The layout costs ~33 B/instr — a
+//! deliberate space-for-time trade against the ~6-10 B/instr varint
+//! encoding — which is why callers cache these behind a byte-budgeted LRU
+//! rather than keeping one per capture forever.
 //!
-//! Decoding is chunk-parallel friendly: [`DecodedChunk::decode`] decodes
-//! any `[start, start+len)` instruction range independently (seeking via
-//! the buffer's block marks), and [`DecodedTrace::assemble`] stitches the
-//! chunks back together. [`DecodedTrace::decode`] is the serial
-//! convenience form. Both produce bit-identical [`Instr`] streams to
-//! [`TraceBuffer::iter`](crate::TraceBuffer::iter) — pinned by proptests
-//! in the workloads crate.
+//! Decoding is one pass: every lane is allocated once at its final length
+//! and [`LaneChunk::fill`] writes an instruction range straight from the
+//! varint columns into its slices, with the op column copied as is (the
+//! buffer's op byte already is the lane format). The other words come
+//! from [`TraceCursor`](crate::TraceCursor), the crate's only decoder, so
+//! the lanes are bit-identical to [`TraceBuffer::iter`] — pinned by
+//! property tests over random mixes and kernel captures.
+//! [`DecodedTrace::decode_chunked`] hands the chunk views to any executor
+//! (a worker pool, say); [`DecodedTrace::decode`] is the serial form.
 //!
-//! Replay consumers step whole [`BLOCK_LEN`]-instruction blocks at a time
-//! through [`InstrBlock`] views (see `Cpu::step_block` in the cpu crate),
-//! which keeps the engine loop free of per-instruction bounds/budget
-//! checks and lets it prefetch the next block's lanes while the current
-//! one executes.
+//! Replay consumers step whole [`BLOCK_LEN`](crate::BLOCK_LEN)-instruction
+//! blocks at a time through [`InstrBlock`] views (see `Cpu::step_block` in
+//! the cpu crate), which keeps the engine loop free of per-instruction
+//! bounds/budget checks and lets it prefetch the next block's lanes while
+//! the current one executes.
 
 use crate::buffer::{
     TraceBuffer, F_AUX, F_DST, F_RESULT, F_SRC1, F_SRC2, KIND_MASK, K_ALU, K_BRANCH, K_LOAD,
@@ -31,106 +33,9 @@ use crate::buffer::{
 use crate::hints::SemanticHints;
 use crate::instr::{Instr, InstrKind, Reg};
 
-/// One independently-decoded instruction range, produced by
-/// [`DecodedChunk::decode`] (typically fanned out across a worker pool)
-/// and consumed by [`DecodedTrace::assemble`].
-#[derive(Debug)]
-pub struct DecodedChunk {
-    start: usize,
-    ops: Vec<u8>,
-    pcs: Vec<u64>,
-    aux: Vec<u64>,
-    sizes: Vec<u8>,
-    hints: Vec<u32>,
-    src1: Vec<u8>,
-    src2: Vec<u8>,
-    dst: Vec<u8>,
-    results: Vec<u64>,
-}
-
-impl DecodedChunk {
-    /// Decode `len` instructions starting at index `start` of `buf`.
-    /// Ranges past the end are clamped; chunks may be decoded in any
-    /// order and on any thread (the buffer is only read).
-    pub fn decode(buf: &TraceBuffer, start: usize, len: usize) -> Self {
-        let start = start.min(buf.len());
-        let len = len.min(buf.len() - start);
-        let mut c = DecodedChunk {
-            start,
-            ops: Vec::with_capacity(len),
-            pcs: Vec::with_capacity(len),
-            aux: Vec::with_capacity(len),
-            sizes: Vec::with_capacity(len),
-            hints: Vec::with_capacity(len),
-            src1: Vec::with_capacity(len),
-            src2: Vec::with_capacity(len),
-            dst: Vec::with_capacity(len),
-            results: Vec::with_capacity(len),
-        };
-        for i in buf.iter_from(start).take(len) {
-            let mut op = match i.kind {
-                InstrKind::Alu { .. } => K_ALU,
-                InstrKind::Load { .. } => K_LOAD,
-                InstrKind::Store { .. } => K_STORE,
-                InstrKind::Branch { .. } => K_BRANCH,
-                InstrKind::Nop => crate::buffer::K_NOP,
-            };
-            if i.src1.is_some() {
-                op |= F_SRC1;
-            }
-            if i.src2.is_some() {
-                op |= F_SRC2;
-            }
-            if i.dst.is_some() {
-                op |= F_DST;
-            }
-            if i.result != 0 {
-                op |= F_RESULT;
-            }
-            let (aux, size, hint) = match i.kind {
-                InstrKind::Alu { latency } => (latency as u64, 0u8, 0u32),
-                InstrKind::Load { addr, size, hints } => {
-                    if hints.is_some() {
-                        op |= F_AUX;
-                    }
-                    (addr, size, hints.map_or(0, |h| h.pack()))
-                }
-                InstrKind::Store { addr, size } => (addr, size, 0),
-                InstrKind::Branch { taken, target } => {
-                    if taken {
-                        op |= F_AUX;
-                    }
-                    (target, 0, 0)
-                }
-                InstrKind::Nop => (0, 0, 0),
-            };
-            c.ops.push(op);
-            c.pcs.push(i.pc);
-            c.aux.push(aux);
-            c.sizes.push(size);
-            c.hints.push(hint);
-            c.src1.push(i.src1.map_or(0, |r| r.0));
-            c.src2.push(i.src2.map_or(0, |r| r.0));
-            c.dst.push(i.dst.map_or(0, |r| r.0));
-            c.results.push(i.result);
-        }
-        c
-    }
-
-    /// Number of instructions in this chunk.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the chunk decoded no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
 /// A fully-decoded trace: fixed-width parallel lanes over the whole
-/// captured stream, replayable in [`BLOCK_LEN`]-instruction blocks with
-/// zero per-instruction decode work.
+/// captured stream, replayable in [`BLOCK_LEN`](crate::BLOCK_LEN)-instruction
+/// blocks with zero per-instruction decode work.
 pub struct DecodedTrace {
     ops: Box<[u8]>,
     pcs: Box<[u64]>,
@@ -144,48 +49,72 @@ pub struct DecodedTrace {
 }
 
 impl DecodedTrace {
-    /// Serially decode an entire buffer (the single-chunk case of
-    /// [`DecodedTrace::assemble`]).
+    /// Serially decode an entire buffer (one chunk of
+    /// [`DecodedTrace::decode_chunked`]).
     pub fn decode(buf: &TraceBuffer) -> Self {
-        Self::assemble(buf.len(), vec![DecodedChunk::decode(buf, 0, buf.len())])
+        Self::decode_chunked(buf, buf.len().max(1), |chunks| {
+            chunks.into_iter().map(LaneChunk::fill).collect()
+        })
     }
 
-    /// Stitch independently-decoded chunks into one trace. The chunks
-    /// must tile `[0, total)` exactly (any order, no gaps or overlaps).
+    /// Decode `buf` in pieces of `chunk_len` instructions: allocate every
+    /// lane once at its final length, split the lanes into one
+    /// [`LaneChunk`] view per piece and hand them to `run`, which fills
+    /// each (in any order, on any thread) and returns what every
+    /// [`LaneChunk::fill`] returned. Multiples of
+    /// [`BLOCK_LEN`](crate::BLOCK_LEN) let each chunk seek in O(1).
     ///
     /// # Panics
     ///
-    /// Panics if the chunks do not tile the range — that is a caller bug,
-    /// not a recoverable condition.
-    pub fn assemble(total: usize, mut chunks: Vec<DecodedChunk>) -> Self {
-        chunks.sort_by_key(|c| c.start);
+    /// Panics if `chunk_len` is zero or if `run` leaves instructions
+    /// unfilled — both caller bugs, not recoverable conditions.
+    pub fn decode_chunked<F>(buf: &TraceBuffer, chunk_len: usize, run: F) -> Self
+    where
+        F: for<'a> FnOnce(Vec<LaneChunk<'a>>) -> Vec<usize>,
+    {
+        assert!(chunk_len > 0, "decode chunks must hold instructions");
+        let len = buf.len();
         let mut t = DecodedTrace {
-            ops: vec![0; total].into_boxed_slice(),
-            pcs: vec![0; total].into_boxed_slice(),
-            aux: vec![0; total].into_boxed_slice(),
-            sizes: vec![0; total].into_boxed_slice(),
-            hints: vec![0; total].into_boxed_slice(),
-            src1: vec![0; total].into_boxed_slice(),
-            src2: vec![0; total].into_boxed_slice(),
-            dst: vec![0; total].into_boxed_slice(),
-            results: vec![0; total].into_boxed_slice(),
+            ops: vec![0; len].into_boxed_slice(),
+            pcs: vec![0; len].into_boxed_slice(),
+            aux: vec![0; len].into_boxed_slice(),
+            sizes: vec![0; len].into_boxed_slice(),
+            hints: vec![0; len].into_boxed_slice(),
+            src1: vec![0; len].into_boxed_slice(),
+            src2: vec![0; len].into_boxed_slice(),
+            dst: vec![0; len].into_boxed_slice(),
+            results: vec![0; len].into_boxed_slice(),
         };
-        let mut at = 0usize;
-        for c in &chunks {
-            assert_eq!(c.start, at, "decoded chunks must tile the trace");
-            let end = at + c.len();
-            t.ops[at..end].copy_from_slice(&c.ops);
-            t.pcs[at..end].copy_from_slice(&c.pcs);
-            t.aux[at..end].copy_from_slice(&c.aux);
-            t.sizes[at..end].copy_from_slice(&c.sizes);
-            t.hints[at..end].copy_from_slice(&c.hints);
-            t.src1[at..end].copy_from_slice(&c.src1);
-            t.src2[at..end].copy_from_slice(&c.src2);
-            t.dst[at..end].copy_from_slice(&c.dst);
-            t.results[at..end].copy_from_slice(&c.results);
-            at = end;
-        }
-        assert_eq!(at, total, "decoded chunks must cover the whole trace");
+        let mut ops = t.ops.chunks_mut(chunk_len);
+        let mut pcs = t.pcs.chunks_mut(chunk_len);
+        let mut aux = t.aux.chunks_mut(chunk_len);
+        let mut sizes = t.sizes.chunks_mut(chunk_len);
+        let mut hints = t.hints.chunks_mut(chunk_len);
+        let mut src1 = t.src1.chunks_mut(chunk_len);
+        let mut src2 = t.src2.chunks_mut(chunk_len);
+        let mut dst = t.dst.chunks_mut(chunk_len);
+        let mut results = t.results.chunks_mut(chunk_len);
+        let mut start = 0;
+        let chunks = std::iter::from_fn(|| {
+            let c = LaneChunk {
+                buf,
+                start,
+                ops: ops.next()?,
+                pcs: pcs.next()?,
+                aux: aux.next()?,
+                sizes: sizes.next()?,
+                hints: hints.next()?,
+                src1: src1.next()?,
+                src2: src2.next()?,
+                dst: dst.next()?,
+                results: results.next()?,
+            };
+            start += c.ops.len();
+            Some(c)
+        })
+        .collect();
+        let filled: usize = run(chunks).into_iter().sum();
+        assert_eq!(filled, len, "every decode chunk must be filled");
         t
     }
 
@@ -214,8 +143,9 @@ impl DecodedTrace {
     }
 
     /// Borrow the instruction range `[start, end)` as lane slices for
-    /// batched stepping. Callers walk block boundaries ([`BLOCK_LEN`]);
-    /// partial first/last blocks are fine.
+    /// batched stepping. Callers walk block boundaries
+    /// ([`BLOCK_LEN`](crate::BLOCK_LEN)); partial first/last blocks are
+    /// fine.
     pub fn block(&self, start: usize, end: usize) -> InstrBlock<'_> {
         InstrBlock {
             ops: &self.ops[start..end],
@@ -263,6 +193,48 @@ impl std::fmt::Debug for DecodedTrace {
             .field("instrs", &self.len())
             .field("bytes", &self.bytes())
             .finish()
+    }
+}
+
+/// Mutable views of every lane over one instruction range of a
+/// [`DecodedTrace`] under construction: the unit of work
+/// [`DecodedTrace::decode_chunked`] hands out.
+#[derive(Debug)]
+pub struct LaneChunk<'a> {
+    buf: &'a TraceBuffer,
+    start: usize,
+    ops: &'a mut [u8],
+    pcs: &'a mut [u64],
+    aux: &'a mut [u64],
+    sizes: &'a mut [u8],
+    hints: &'a mut [u32],
+    src1: &'a mut [u8],
+    src2: &'a mut [u8],
+    dst: &'a mut [u8],
+    results: &'a mut [u64],
+}
+
+impl LaneChunk<'_> {
+    /// Decode this chunk's instruction range into its lanes and return the
+    /// number of instructions written.
+    pub fn fill(self) -> usize {
+        let n = self.ops.len();
+        let start = self.start;
+        self.ops
+            .copy_from_slice(&self.buf.op_bytes()[start..start + n]);
+        let mut cur = self.buf.cursor_at(start);
+        for (i, &op) in self.ops.iter().enumerate() {
+            let w = cur.words(self.buf, op);
+            self.pcs[i] = w.pc;
+            self.aux[i] = w.aux;
+            self.sizes[i] = w.size;
+            self.hints[i] = w.hints;
+            self.src1[i] = w.src1;
+            self.src2[i] = w.src2;
+            self.dst[i] = w.dst;
+            self.results[i] = w.result;
+        }
+        n
     }
 }
 
@@ -401,19 +373,18 @@ mod tests {
     }
 
     #[test]
-    fn chunked_assembly_matches_serial() {
+    fn chunked_decode_matches_serial() {
         let instrs = random_stream(4 * BLOCK_LEN as u64 + 100);
         let buf = buffer_of(&instrs);
-        // Deliberately unaligned, out-of-order chunk tiling.
-        let cuts = [0usize, 300, 301, 512, 1000, buf.len()];
-        let mut chunks: Vec<DecodedChunk> = cuts
-            .windows(2)
-            .map(|w| DecodedChunk::decode(&buf, w[0], w[1] - w[0]))
-            .collect();
-        chunks.reverse();
-        let d = DecodedTrace::assemble(buf.len(), chunks);
-        for (i, want) in instrs.iter().enumerate() {
-            assert_eq!(&d.instr(i), want, "instr {i}");
+        // Unaligned chunks seek mid-block; filling them in reverse order
+        // shows the chunks are independent.
+        for chunk_len in [1, 300, BLOCK_LEN, 2 * BLOCK_LEN + 1, buf.len() + 7] {
+            let d = DecodedTrace::decode_chunked(&buf, chunk_len, |chunks| {
+                chunks.into_iter().rev().map(LaneChunk::fill).collect()
+            });
+            for (i, want) in instrs.iter().enumerate() {
+                assert_eq!(&d.instr(i), want, "instr {i} (chunk {chunk_len})");
+            }
         }
     }
 
@@ -432,11 +403,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile")]
-    fn assemble_rejects_gaps() {
-        let buf = buffer_of(&random_stream(100));
-        let c = DecodedChunk::decode(&buf, 10, 90);
-        let _ = DecodedTrace::assemble(100, vec![c]);
+    #[should_panic(expected = "every decode chunk must be filled")]
+    fn unfilled_chunks_are_rejected() {
+        let buf = buffer_of(&random_stream(3 * BLOCK_LEN as u64));
+        let _ = DecodedTrace::decode_chunked(&buf, BLOCK_LEN, |chunks| {
+            chunks.into_iter().skip(1).map(LaneChunk::fill).collect()
+        });
     }
 
     #[test]

@@ -84,11 +84,24 @@ impl ReplayKernel {
         }
     }
 
-    /// Attach pre-decoded lanes (must be a decode of exactly this
-    /// capture's buffer; debug-asserted by length).
+    /// Attach pre-decoded lanes, which must be a decode of exactly this
+    /// capture's buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes hold a different number of instructions than
+    /// the capture: replaying them would silently stop short or follow
+    /// another stream.
     pub fn with_decoded(mut self, decoded: Option<Arc<DecodedTrace>>) -> Self {
         if let Some(d) = decoded.as_ref() {
-            debug_assert_eq!(d.len(), self.trace.buf.len());
+            assert_eq!(
+                d.len(),
+                self.trace.buf.len(),
+                "decoded lanes hold {} instrs but capture '{}' holds {}",
+                d.len(),
+                self.trace.name,
+                self.trace.buf.len()
+            );
         }
         self.decoded = decoded;
         self
@@ -157,6 +170,16 @@ mod tests {
                 "{name}: replay diverged from generation"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "decoded lanes hold 1000 instrs but capture 'list' holds 2000")]
+    fn lanes_of_another_length_are_rejected() {
+        let k = kernel_by_name("list").unwrap();
+        let short = capture_kernel(k.as_ref(), 1_000);
+        let lanes = Arc::new(DecodedTrace::decode(&short.buf));
+        let long = capture_kernel(k.as_ref(), 2_000);
+        let _ = ReplayKernel::new(Arc::new(long)).with_decoded(Some(lanes));
     }
 
     #[test]
